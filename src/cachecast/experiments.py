@@ -187,13 +187,17 @@ def _mc_rows(spec, index, value, rho, users_per_group, gain, label_suffix):
                     config, scheme, spec.num_trials,
                     _derived_seed(spec.base_seed, index, scheme.value))
             gain_est = effective_gain(estimate, tdm)
+            gain_stderr = gain_est.std_err
             elapsed = time.perf_counter() - started
             if scheme is Scheme.TDM:
                 elapsed += tdm_elapsed
+                # TDM over itself is exactly 1; effective_gain treats the two
+                # as independent estimates and would report a spurious error
+                gain_stderr = 0.0
             rows.append(ResultRow(
                 swept=float(value), scheme=scheme.value + label_suffix,
                 rate_mean=estimate.mean, rate_stderr=estimate.std_err,
-                gain=gain_est.value, gain_stderr=gain_est.std_err,
+                gain=gain_est.value, gain_stderr=gain_stderr,
                 trials=estimate.num_trials, wall_time_ms=1e3 * elapsed))
         except CachecastError as exc:
             rows.append(ResultRow(swept=float(value), scheme=scheme.value + label_suffix,

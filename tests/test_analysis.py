@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ def test_tdm_closed_form_value():
 def test_exact_mn_is_positive_and_scales_without_overflow():
     # gain/rho = 1e7 would overflow the raw exp * Ei product
     assert exact_mn_rate(1e-6, 10).value > 0.0
+
+
+def test_exact_mn_matches_mpmath_just_below_the_e1_crossover():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        expected = float(9 / mpmath.log(2) * mpmath.exp(9) * mpmath.e1(9))
+    assert exact_mn_rate(1.0, 9).value == pytest.approx(expected, rel=1e-13)
 
 
 def test_exact_mn_high_snr_logarithmic_growth():
@@ -129,9 +137,48 @@ def test_low_snr_mn_spot_value():
 
 # ---------------------------------------------------------------- multinomial constant
 
+def compositions(total, parts):
+    """Every vector of `parts` nonnegative integers summing to `total`
+    (stars-and-bars order); there are C(total+parts-1, parts-1)."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        vector = []
+        for bar in bars + (total + parts - 1,):
+            vector.append(bar - prev - 1)
+            prev = bar
+        yield tuple(vector)
+
+
+def psi_composition_oracle(gain, users_per_group):
+    """The paper's multinomial form of psi: a sum over the compositions of
+    `gain` into `users_per_group` slots, with log-domain coefficients."""
+    lgam = [math.lgamma(i + 1) for i in range(max(gain, (users_per_group - 1) * gain) + 1)]
+    log_terms = []
+    for vector in compositions(gain, users_per_group):
+        k = sum(t * part for t, part in enumerate(vector))
+        log_terms.append(lgam[gain] + lgam[k] - (1 + k) * math.log(gain)
+                         - sum(lgam[part] + part * lgam[t] for t, part in enumerate(vector)))
+    shift = max(log_terms)
+    return math.exp(shift) * math.fsum(math.exp(term - shift) for term in log_terms)
+
+
+def psi_mpmath_oracle(gain, users_per_group):
+    """psi as the survival integral in 30-digit arithmetic, split where
+    Q^gain ~ exp(-(x/x0)^b) changes scale, with x0 = (b!/gain)^(1/b)."""
+    mpmath = pytest.importorskip("mpmath")
+    b = users_per_group
+    with mpmath.workdps(30):
+        x0 = (mpmath.factorial(b) / gain) ** (mpmath.mpf(1) / b)
+        points = sorted({mpmath.mpf(0), *(x0 * 2 ** k for k in range(5)),
+                         mpmath.mpf(b) / 2, mpmath.mpf(b), mpmath.mpf(2 * b + 10)})
+        return float(mpmath.quad(
+            lambda x: mpmath.gammainc(b, x, mpmath.inf, regularized=True) ** gain,
+            points + [mpmath.inf]))
+
+
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=5))
 def test_compositions_enumerate_the_simplex(total, parts):
-    vectors = list(analysis.compositions(total, parts))
+    vectors = list(compositions(total, parts))
     assert len(vectors) == math.comb(total + parts - 1, parts - 1)
     assert len(set(vectors)) == len(vectors)
     for vector in vectors:
@@ -149,7 +196,7 @@ def psi_survival_oracle(gain, users_per_group):
     return value
 
 
-@pytest.mark.parametrize("gain", [1, 2, 3, 7])
+@pytest.mark.parametrize("gain", [1, 2, 3, 7, 10 ** 6])
 def test_psi_single_user_per_group(gain):
     assert psi(gain, 1) == pytest.approx(1.0 / gain, rel=1e-13)
 
@@ -170,9 +217,24 @@ def test_psi_matches_survival_integral_oracle(gain, users):
     assert psi(gain, users) == pytest.approx(psi_survival_oracle(gain, users), abs=1e-8)
 
 
-def test_psi_composition_budget():
-    with pytest.raises(ParameterError):
-        psi(10, 32)  # ~1.1e9 compositions
+#: the criterion-4 pairs and the fig4 grid
+PSI_ORACLE_SHAPES = sorted(
+    {(g, b) for g in range(1, 10) for b in range(1, 11 - g)}
+    | {(g, b) for g, b_max in ((2, 16), (5, 16), (10, 12)) for b in range(1, b_max + 1)})
+
+
+def test_psi_matches_composition_sum_oracle():
+    for gain, users in PSI_ORACLE_SHAPES:
+        assert psi(gain, users) == pytest.approx(
+            psi_composition_oracle(gain, users), rel=1e-13), f"gain={gain}, users={users}"
+
+
+@pytest.mark.parametrize("gain,users", [(16, 16), (10, 32), (50, 50), (1000, 3),
+                                        (10 ** 6, 2), (10 ** 8, 3)])
+def test_psi_matches_mpmath_on_large_shapes(gain, users):
+    # 5e5 to 5e28 composition terms; at the large gains the minimum sits
+    # at ~(b!/gain)^(1/b), far below the group size
+    assert psi(gain, users) == pytest.approx(psi_mpmath_oracle(gain, users), rel=1e-13)
 
 
 def test_psi_rejects_bad_arguments():

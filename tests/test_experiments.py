@@ -69,17 +69,18 @@ def test_single_point_row_accounting():
     assert [row.scheme for row in rows] == ["tdm", "mn", "acc", "exact-mn"]
     tdm_row = rows[0]
     assert tdm_row.gain == 1.0
+    assert tdm_row.gain_stderr == 0.0
     assert all(row.error is None for row in rows)
 
 
 def test_per_point_failures_are_recorded_not_raised():
-    # composition count for gain=10, 32 users per group exceeds the budget
-    spec = ExperimentSpec(axis_name="users_per_group", axis_values=(2, 32),
-                          nominal_gain=10, analytics=("low-snr-ratio-limit",),
+    # the large-B normal form needs at least two users per group
+    spec = ExperimentSpec(axis_name="users_per_group", axis_values=(1, 2),
+                          nominal_gain=10, analytics=("large-b",),
                           num_trials=100, base_seed=1)
     rows = run_sweep(spec)
-    assert rows[0].error is None
-    assert rows[1].error is not None and "ParameterError" in rows[1].error
+    assert rows[0].error is not None and "ParameterError" in rows[0].error
+    assert rows[1].error is None
 
 
 def test_csv_header_is_stable(tmp_path):

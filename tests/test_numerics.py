@@ -75,6 +75,14 @@ def test_exp_scaled_e1_against_scipy(a):
         assert exp_scaled_e1(a) == pytest.approx(expected, rel=5e-8)
 
 
+def test_exp_scaled_e1_matches_mpmath_below_the_crossover():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a in np.linspace(8.0, 10.0, 41)[:-1]:
+            expected = float(mpmath.exp(a) * mpmath.e1(a))
+            assert exp_scaled_e1(float(a)) == pytest.approx(expected, rel=1e-13), f"a={a}"
+
+
 def test_exp_scaled_e1_never_overflows():
     # e^a E1(a) -> 1/a; the unscaled factors would overflow past a ~ 710
     value = exp_scaled_e1(1e6)
