@@ -429,9 +429,6 @@ class _MinSumInversion:
             self._re_over_t = power.real / safe_t
         self.mean_sum = users_per_group * mean_log1p_snr(rho)
         self.std_sum = math.sqrt(users_per_group) * std_log1p_snr(rho)
-        # residual of dropping |t| > tmax, assuming the ~1/t envelope decay
-        tail_phi = abs(complex(self.table.phi(np.array([self.table.tmax]))[0]))
-        self.tail_residual = tail_phi ** users_per_group / (users_per_group * math.pi)
 
     def survival(self, y: float) -> float:
         """P(S > y) = 1/2 + (1/pi) * integral of Im{e^{-jty} phi^B}/t dt."""

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``sweep`` (parameter sweeps to CSV/JSON), ``figure`` (named
-figure-data presets), ``validate`` (self-checks with a machine-readable
-report), ``timeline`` (JSON-lines event log of one transmission stage).
+figure-data presets, or ``all`` of them), ``validate`` (self-checks with a
+machine-readable report), ``timeline`` (JSON-lines event log of one
+transmission stage).
 
 Average SNR is given in dB on the command line and converted to linear
 internally. Exit codes: 0 success, 1 validation failure, 2 parameter
@@ -53,8 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "reproducibility across runs)")
     sweep.add_argument("--config", help="JSON file with spec fields; flags override")
 
-    figure = sub.add_parser("figure", help="reproduce one figure preset")
-    figure.add_argument("name", choices=sorted(FIGURE_PRESETS))
+    figure = sub.add_parser("figure", help="reproduce figure presets")
+    figure.add_argument("names", nargs="+", metavar="name",
+                        choices=sorted(FIGURE_PRESETS) + ["all"],
+                        help="preset names, or 'all' for every preset")
     figure.add_argument("--out", required=True, help="output directory")
     figure.add_argument("--trials", type=int, default=100_000)
     figure.add_argument("--seed", type=int, default=42)
@@ -90,14 +93,14 @@ _SPEC_FIELDS = {
 
 
 def _split_list(value):
-    if value is None:
-        return None
     if isinstance(value, (list, tuple)):
         return tuple(value)
     return tuple(part.strip() for part in str(value).split(",") if part.strip())
 
 
 def _sweep_spec(args) -> ExperimentSpec:
+    """Config-file fields overridden by flags; anything unset or null keeps
+    the ExperimentSpec default."""
     settings = {}
     if args.config:
         try:
@@ -110,7 +113,8 @@ def _sweep_spec(args) -> ExperimentSpec:
         for key, value in loaded.items():
             if key not in _SPEC_FIELDS:
                 raise ParameterError(f"unknown config field {key!r}")
-            settings[_SPEC_FIELDS[key]] = value
+            if value is not None:
+                settings[_SPEC_FIELDS[key]] = value
     for flag, field_name in _SPEC_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -120,14 +124,9 @@ def _sweep_spec(args) -> ExperimentSpec:
     if axis is None:
         raise ParameterError("a sweep axis is required (--axis or config file)")
     axis_name, axis_values = parse_axis(str(axis))
-    settings["schemes"] = _split_list(settings.get("schemes")) or ()
-    settings["analytics"] = _split_list(settings.get("analytics")) or ()
-    settings.setdefault("include_timing", False)
-    defaults = {"nominal_gain": 4, "users_per_group": 4, "rho_db": 0.0,
-                "library_size": None, "num_trials": 100_000, "base_seed": 42,
-                "out_path": None, "out_format": "csv"}
-    for key, value in defaults.items():
-        settings.setdefault(key, value)
+    for key in ("schemes", "analytics"):
+        if key in settings:
+            settings[key] = _split_list(settings[key])
     return ExperimentSpec(axis_name=axis_name, axis_values=axis_values, **settings)
 
 
@@ -142,8 +141,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    path = run_figure(args.name, args.out, num_trials=args.trials, base_seed=args.seed)
-    print(path)
+    names = sorted(FIGURE_PRESETS) if "all" in args.names else args.names
+    for name in names:
+        print(run_figure(name, args.out, num_trials=args.trials, base_seed=args.seed),
+              flush=True)
     return 0
 
 

@@ -15,7 +15,7 @@ import os
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -40,8 +40,6 @@ from .system import (
     snr_from_db,
     substream,
 )
-
-CSV_HEADER = "swept,scheme,rate_mean,rate_stderr,gain,gain_stderr,trials,wall_time_ms,error"
 
 AXIS_NAMES = ("rho_db", "users_per_group", "nominal_gain")
 
@@ -83,9 +81,14 @@ class ExperimentSpec:
         if self.axis_name not in AXIS_NAMES:
             raise ParameterError(
                 f"unknown sweep axis {self.axis_name!r}; expected one of {AXIS_NAMES}")
+        # converted before the check: a numpy array has no truth value
+        try:
+            object.__setattr__(self, "axis_values", tuple(self.axis_values))
+        except TypeError:
+            raise ParameterError(
+                f"axis_values must be a sequence, got {self.axis_values!r}") from None
         if not self.axis_values:
             raise ParameterError("the sweep axis needs at least one value")
-        object.__setattr__(self, "axis_values", tuple(self.axis_values))
         object.__setattr__(self, "schemes",
                            tuple(Scheme.parse(s) for s in self.schemes))
         normalized = []
@@ -121,6 +124,9 @@ class ResultRow:
     trials: int | None = None
     wall_time_ms: float | None = None
     error: str | None = None
+
+
+CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
 
 
 def parse_axis(text: str):
@@ -269,17 +275,13 @@ def _format_cell(value):
     return str(value)
 
 
-def _row_cells(row: ResultRow, include_timing: bool):
+def _record(row: ResultRow, include_timing: bool) -> dict:
+    """The row's fields in CSV_HEADER order; timing is rounded, or dropped
+    unless asked for, since it differs between reruns."""
+    record = asdict(row)
     timing = row.wall_time_ms if include_timing else None
-    if timing is not None:
-        timing = float(round(timing, 3))
-    return [
-        _format_cell(row.swept), row.scheme,
-        _format_cell(row.rate_mean), _format_cell(row.rate_stderr),
-        _format_cell(row.gain), _format_cell(row.gain_stderr),
-        _format_cell(row.trials), _format_cell(timing),
-        row.error or "",
-    ]
+    record["wall_time_ms"] = None if timing is None else round(timing, 3)
+    return record
 
 
 def _atomic_write(path: str, text: str):
@@ -297,24 +299,14 @@ def _atomic_write(path: str, text: str):
 
 
 def write_rows(rows, path: str, out_format: str = "csv", include_timing: bool = False):
+    records = [_record(row, include_timing) for row in rows]
     if out_format == "csv":
         lines = [CSV_HEADER]
-        lines += [",".join(_row_cells(row, include_timing)) for row in rows]
+        lines += [",".join(_format_cell(cell) for cell in record.values())
+                  for record in records]
         _atomic_write(path, "\n".join(lines) + "\n")
     elif out_format == "json":
-        payload = []
-        for row in rows:
-            record = {
-                "swept": row.swept, "scheme": row.scheme,
-                "rate_mean": row.rate_mean, "rate_stderr": row.rate_stderr,
-                "gain": row.gain, "gain_stderr": row.gain_stderr,
-                "trials": row.trials,
-                "wall_time_ms": round(row.wall_time_ms, 3)
-                                if (include_timing and row.wall_time_ms is not None) else None,
-                "error": row.error,
-            }
-            payload.append(record)
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(path, json.dumps(records, indent=2, sort_keys=True) + "\n")
     else:
         raise ParameterError(f"unknown output format {out_format!r}")
 
@@ -323,17 +315,13 @@ def write_rows(rows, path: str, out_format: str = "csv", include_timing: bool = 
 # figure presets
 # ---------------------------------------------------------------------------
 
-def _spec(axis_name, axis_values, **kw):
-    return ExperimentSpec(axis_name=axis_name, axis_values=tuple(axis_values), **kw)
-
-
 def _fig1(trials, seed):
     # XOR-scheme gain collapse vs average SNR, one curve per nominal gain
     rows = []
     for gain in (2, 5, 10):
-        spec = _spec("rho_db", np.arange(-20.0, 30.0 + 1e-9, 1.0),
-                     nominal_gain=gain, users_per_group=1,
-                     analytics=("exact-mn",), num_trials=trials, base_seed=seed)
+        spec = ExperimentSpec("rho_db", np.arange(-20.0, 30.0 + 1e-9, 1.0),
+                              nominal_gain=gain, users_per_group=1,
+                              analytics=("exact-mn",), num_trials=trials, base_seed=seed)
         rows += run_sweep(spec, label_suffix=f"[g={gain}]")
     return rows
 
@@ -342,11 +330,11 @@ def _fig3(trials, seed):
     # effective gains vs SNR at gain 10: XOR baseline and aggregated curves
     rows = []
     axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
-    rows += run_sweep(_spec("rho_db", axis, nominal_gain=10, users_per_group=1,
-                            schemes=("mn",), num_trials=trials, base_seed=seed))
+    rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=10, users_per_group=1,
+                                     schemes=("mn",), num_trials=trials, base_seed=seed))
     for b in (2, 4, 6):
-        rows += run_sweep(_spec("rho_db", axis, nominal_gain=10, users_per_group=b,
-                                schemes=("acc",), num_trials=trials, base_seed=seed),
+        rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=10, users_per_group=b,
+                                         schemes=("acc",), num_trials=trials, base_seed=seed),
                           label_suffix=f"[b={b}]")
     return rows
 
@@ -355,9 +343,9 @@ def _fig4(trials, seed):
     # low-SNR aggregated-over-XOR ratio vs users per group
     rows = []
     for gain, b_max in ((2, 16), (5, 16), (10, 12)):
-        spec = _spec("users_per_group", range(1, b_max + 1), nominal_gain=gain,
-                     analytics=("low-snr-ratio-limit",), num_trials=trials,
-                     base_seed=seed)
+        spec = ExperimentSpec("users_per_group", range(1, b_max + 1), nominal_gain=gain,
+                              analytics=("low-snr-ratio-limit",), num_trials=trials,
+                              base_seed=seed)
         rows += run_sweep(spec, label_suffix=f"[g={gain}]")
     return rows
 
@@ -367,14 +355,15 @@ def _fig5(trials, seed):
     # low-SNR forms
     rows = []
     axis = np.arange(-20.0, 10.0 + 1e-9, 2.0)
-    rows += run_sweep(_spec("rho_db", axis, nominal_gain=4, users_per_group=1,
-                            schemes=("mn",), analytics=("low-snr-mn",),
-                            num_trials=trials, base_seed=seed), label_suffix="[b=1]")
+    rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=4, users_per_group=1,
+                                     schemes=("mn",), analytics=("low-snr-mn",),
+                                     num_trials=trials, base_seed=seed),
+                      label_suffix="[b=1]")
     for b in (2, 3):
-        rows += run_sweep(_spec("rho_db", axis, nominal_gain=4, users_per_group=b,
-                                schemes=("acc",),
-                                analytics=("exact-acc-integral", "low-snr-acc"),
-                                num_trials=trials, base_seed=seed),
+        rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=4, users_per_group=b,
+                                         schemes=("acc",),
+                                         analytics=("exact-acc-integral", "low-snr-acc"),
+                                         num_trials=trials, base_seed=seed),
                           label_suffix=f"[b={b}]")
     return rows
 
@@ -384,9 +373,9 @@ def _fig6(trials, seed):
     rows = []
     axis = np.arange(-20.0, 10.0 + 1e-9, 2.0)
     for gain in (2, 4, 8):
-        rows += run_sweep(_spec("rho_db", axis, nominal_gain=gain, users_per_group=3,
-                                schemes=("acc",), analytics=("low-snr-acc",),
-                                num_trials=trials, base_seed=seed),
+        rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=gain, users_per_group=3,
+                                         schemes=("acc",), analytics=("low-snr-acc",),
+                                         num_trials=trials, base_seed=seed),
                           label_suffix=f"[g={gain}]")
     return rows
 
@@ -396,10 +385,10 @@ def _fig7(trials, seed):
     rows = []
     axis = (2, 4, 6, 8, 10, 16, 24, 32, 48, 64)
     for gain in (2, 3, 4, 5):
-        rows += run_sweep(_spec("users_per_group", axis, nominal_gain=gain,
-                                rho_db=0.0, schemes=("acc",),
-                                analytics=("large-b-normal",),
-                                num_trials=trials, base_seed=seed),
+        rows += run_sweep(ExperimentSpec("users_per_group", axis, nominal_gain=gain,
+                                         rho_db=0.0, schemes=("acc",),
+                                         analytics=("large-b-normal",),
+                                         num_trials=trials, base_seed=seed),
                           label_suffix=f"[g={gain}]")
     return rows
 
@@ -407,8 +396,8 @@ def _fig7(trials, seed):
 def _fig8(trials, seed):
     # the same large-B form at gain 10 under the different H evaluations
     axis = (2, 4, 6, 8, 10, 16, 24, 32, 48, 64)
-    rows = run_sweep(_spec("users_per_group", axis, nominal_gain=10, rho_db=0.0,
-                           schemes=("acc",), num_trials=trials, base_seed=seed))
+    rows = run_sweep(ExperimentSpec("users_per_group", axis, nominal_gain=10, rho_db=0.0,
+                                    schemes=("acc",), num_trials=trials, base_seed=seed))
     for method in (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC):
         for b in axis:
             rho = snr_from_db(0.0)
@@ -418,6 +407,21 @@ def _fig8(trials, seed):
                                   scheme=f"large-b-normal[h={method}]",
                                   rate_mean=value, gain=value / tdm))
     return rows
+
+
+def _mc_ratio_rows(axis, gain, users_per_group, trials, seed, label):
+    """Monte Carlo ACC-over-MN rate ratio at every SNR of the axis, from one
+    sweep of both schemes."""
+    sweep = run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=gain,
+                                     users_per_group=users_per_group,
+                                     schemes=("acc", "mn"), num_trials=trials,
+                                     base_seed=seed))
+    # each point yields an acc row, then an mn row
+    return [ResultRow(swept=acc.swept, scheme=f"mc-ratio[{label}]",
+                      gain=(acc.rate_mean / mn.rate_mean
+                            if acc.rate_mean and mn.rate_mean else None),
+                      trials=trials)
+            for acc, mn in zip(sweep[::2], sweep[1::2])]
 
 
 def _fig9(trials, seed):
@@ -438,18 +442,7 @@ def _fig9(trials, seed):
                 rows.append(ResultRow(swept=float(value),
                                       scheme=f"ratio-large-b-ghq7[g={gain}]",
                                       error=f"{type(exc).__name__}: {exc}"))
-        sweep = _spec("rho_db", axis, nominal_gain=gain, users_per_group=6,
-                      schemes=("acc", "mn"), num_trials=trials, base_seed=seed)
-        by_scheme = {}
-        for row in run_sweep(sweep):
-            by_scheme.setdefault(row.scheme, {})[row.swept] = row
-        for value in axis:
-            acc_row = by_scheme["acc"][float(value)]
-            mn_row = by_scheme["mn"][float(value)]
-            ratio = (acc_row.rate_mean / mn_row.rate_mean
-                     if acc_row.rate_mean and mn_row.rate_mean else None)
-            rows.append(ResultRow(swept=float(value), scheme=f"mc-ratio[g={gain}]",
-                                  gain=ratio, trials=trials))
+        rows += _mc_ratio_rows(axis, gain, 6, trials, seed, f"g={gain}")
     return rows
 
 
@@ -459,21 +452,10 @@ def _fig10(trials, seed):
     rows = []
     axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
     for b in (2, 8, 32):
-        sweep = _spec("rho_db", axis, nominal_gain=4, users_per_group=b,
-                      schemes=("acc", "mn"), num_trials=trials, base_seed=seed)
-        by_scheme = {}
-        for row in run_sweep(sweep):
-            by_scheme.setdefault(row.scheme, {})[row.swept] = row
-        for value in axis:
-            acc_row = by_scheme["acc"][float(value)]
-            mn_row = by_scheme["mn"][float(value)]
-            ratio = (acc_row.rate_mean / mn_row.rate_mean
-                     if acc_row.rate_mean and mn_row.rate_mean else None)
-            rows.append(ResultRow(swept=float(value), scheme=f"mc-ratio[b={b}]",
-                                  gain=ratio, trials=trials))
-    rows += run_sweep(_spec("rho_db", axis, nominal_gain=4,
-                            analytics=("large-b-ratio-limit",),
-                            num_trials=trials, base_seed=seed))
+        rows += _mc_ratio_rows(axis, 4, b, trials, seed, f"b={b}")
+    rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=4,
+                                     analytics=("large-b-ratio-limit",),
+                                     num_trials=trials, base_seed=seed))
     return rows
 
 
@@ -538,11 +520,7 @@ class ValidationReport:
                 "library_size": self.config.library_size,
                 "avg_snr": self.config.avg_snr,
             },
-            "checks": [
-                {"name": c.name, "passed": c.passed, "measured": c.measured,
-                 "limit": c.limit, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(check) for check in self.checks],
         }
 
 

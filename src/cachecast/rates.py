@@ -111,8 +111,14 @@ def _chunk_metrics(rho: float, groups: int, users: int, base_seed: int,
     """Natural-log metric for `count` trials of one substream chunk."""
     rng = substream(SeedSpec(base_seed=base_seed, trial_index=chunk_index))
     u = rng.random((count, groups, users))
-    log_terms = np.log1p(-rho * np.log1p(-u))
-    return log_terms.mean(axis=2).min(axis=1)
+    # ln(1 + SNR) with SNR = -rho ln(1-u), transformed in place: fresh
+    # chunk-sized temporaries may go back to the OS after every chunk and
+    # fault in again page by page on the next
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -rho
+    np.log1p(u, out=u)
+    return u.mean(axis=2).min(axis=1)
 
 
 def _chunk_moments(args):

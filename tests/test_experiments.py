@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from cachecast import cli
 from cachecast.cli import exit_code_for, main
 from cachecast.errors import NumericsError, ParameterError
 from cachecast.experiments import (
@@ -16,6 +18,7 @@ from cachecast.experiments import (
     run_sweep,
     timeline_for,
     validate_system,
+    write_rows,
 )
 from cachecast.system import SeedSpec, SystemConfig
 
@@ -55,6 +58,15 @@ def test_spec_rejects_unknown_names():
         ExperimentSpec(axis_name="rho_db", axis_values=(0.0,), analytics=("magic",))
     with pytest.raises(ParameterError):
         ExperimentSpec(axis_name="rho_db", axis_values=(0.0,), schemes=("cdma",))
+
+
+def test_spec_accepts_numpy_axes():
+    spec = ExperimentSpec(axis_name="rho_db", axis_values=np.arange(-4.0, 5.0, 4.0),
+                          schemes=("tdm",))
+    assert spec.axis_values == (-4.0, 0.0, 4.0)
+    for empty in (np.array([]), (), None):
+        with pytest.raises(ParameterError):
+            ExperimentSpec(axis_name="rho_db", axis_values=empty, schemes=("tdm",))
 
 
 # ---------------------------------------------------------------- sweeps
@@ -121,6 +133,40 @@ def test_json_output_round_trips(tmp_path):
     assert loaded[1]["gain"] == pytest.approx(rows[1].gain)
 
 
+def _csv_records(path):
+    # the error message is the last column and may itself hold commas
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    return header, [dict(zip(header, line.split(",", len(header) - 1)))
+                    for line in lines[1:]]
+
+
+@pytest.mark.parametrize("include_timing", [False, True])
+def test_csv_and_json_agree_cell_for_cell(tmp_path, include_timing):
+    # users_per_group=1 makes the large-B form fail, so one row is an error row
+    spec = ExperimentSpec(axis_name="users_per_group", axis_values=(1, 2),
+                          nominal_gain=3, schemes=("tdm", "acc"), analytics=("large-b",),
+                          num_trials=200, base_seed=8)
+    rows = run_sweep(spec)
+    assert sum(row.error is not None for row in rows) == 1
+    write_rows(rows, str(tmp_path / "out.csv"), "csv", include_timing)
+    write_rows(rows, str(tmp_path / "out.json"), "json", include_timing)
+    header, table = _csv_records(tmp_path / "out.csv")
+    records = json.loads((tmp_path / "out.json").read_text())
+    assert header == CSV_HEADER.split(",")
+    assert len(table) == len(records) == len(rows)
+    for line, record in zip(table, records):
+        assert sorted(line) == sorted(record)
+        for key, value in record.items():
+            if value is None:
+                assert line[key] == "", key
+            else:
+                assert type(value)(line[key]) == value, key
+        timed = include_timing and record["error"] is None
+        assert (record["wall_time_ms"] is not None) == timed
+
+
 def test_timing_column_is_opt_in(tmp_path):
     path = tmp_path / "timed.csv"
     spec = ExperimentSpec(axis_name="rho_db", axis_values=(0.0,),
@@ -162,6 +208,25 @@ def test_low_snr_ratio_preset_smoke(tmp_path):
     assert curves == {"low-snr-ratio-limit[g=2]", "low-snr-ratio-limit[g=5]",
                       "low-snr-ratio-limit[g=10]"}
     assert all(line.split(",")[-1] == "" for line in lines[1:])
+
+
+def test_fig10_ratio_rows_divide_the_sweep_rates(tmp_path):
+    trials, seed = 100, 6
+    _, table = _csv_records(run_figure("fig10", str(tmp_path), num_trials=trials,
+                                       base_seed=seed))
+    ratios = {(line["scheme"], float(line["swept"])): float(line["gain"])
+              for line in table if line["scheme"].startswith("mc-ratio")}
+    axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
+    assert len(ratios) == 3 * len(axis)
+    for b in (2, 8, 32):
+        sweep = run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=axis,
+                                         nominal_gain=4, users_per_group=b,
+                                         schemes=("acc", "mn"), num_trials=trials,
+                                         base_seed=seed))
+        rate = {(row.scheme, row.swept): row.rate_mean for row in sweep}
+        for value in axis:
+            key = (f"mc-ratio[b={b}]", float(value))
+            assert ratios[key] == rate["acc", float(value)] / rate["mn", float(value)]
 
 
 def test_unknown_preset_is_a_parameter_error(tmp_path):
@@ -315,6 +380,30 @@ def test_cli_timeline_preset(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert lines[0]["t"] == pytest.approx(1.0)
     assert lines[-1]["completion_time"] == pytest.approx(10.0)
+
+
+def test_cli_figure_all_runs_every_preset_in_sorted_order(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_figure(name, out_dir, num_trials, base_seed):
+        calls.append((name, num_trials, base_seed))
+        return os.path.join(out_dir, f"{name}.csv")
+
+    monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+    assert main(["figure", "all", "--out", str(tmp_path), "--trials", "300",
+                 "--seed", "5"]) == 0
+    assert calls == [(name, 300, 5) for name in sorted(FIGURE_PRESETS)]
+    assert capsys.readouterr().out.split() == [
+        os.path.join(str(tmp_path), f"{name}.csv") for name in sorted(FIGURE_PRESETS)]
+
+
+def test_cli_figure_writes_one_csv_per_named_preset(tmp_path, capsys):
+    assert main(["figure", "fig4", "fig1", "--out", str(tmp_path), "--trials", "100",
+                 "--seed", "1"]) == 0
+    paths = capsys.readouterr().out.split()
+    assert paths == [str(tmp_path / "fig4.csv"), str(tmp_path / "fig1.csv")]
+    for path in paths:
+        assert open(path).readline().strip() == CSV_HEADER
 
 
 def test_exit_code_mapping_unit():

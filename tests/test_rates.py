@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cachecast.analysis import exact_mn_rate, mn_gain_exact
 from cachecast.errors import NumericsError, ParameterError
 from cachecast.rates import (
+    CHUNK_TRIALS,
     RateEstimate,
     effective_gain,
     inst_rate_acc,
@@ -14,7 +15,8 @@ from cachecast.rates import (
     mc_average_rate,
     trial_rates,
 )
-from cachecast.system import Scheme, SeedSpec, SnrMatrix, SystemConfig, sample_snr
+from cachecast.system import (
+    Scheme, SeedSpec, SnrMatrix, SystemConfig, sample_snr, substream)
 
 LN2 = math.log(2.0)
 
@@ -132,6 +134,21 @@ def test_trial_rates_order_is_stable_across_chunks():
     short = trial_rates(config, Scheme.ACC, 5000, base_seed=3)
     long = trial_rates(config, Scheme.ACC, 20_000, base_seed=3)
     assert np.array_equal(short, long[:5000])
+
+
+def test_acc_trial_rates_match_the_out_of_place_formula():
+    # the chunk metric is evaluated in place; it must equal the textbook
+    # expression on the same Philox substream bit for bit
+    rho, gain, users, tail = 2.5, 3, 4, 500
+    config = SystemConfig.from_gain(gain, users, avg_snr=rho)
+    expected = []
+    for chunk_index, count in enumerate((CHUNK_TRIALS, tail)):
+        u = substream(SeedSpec(base_seed=17, trial_index=chunk_index)).random(
+            (count, gain, users))
+        snr = -rho * np.log1p(-u)
+        expected.append(np.log1p(snr).mean(axis=2).min(axis=1))
+    got = trial_rates(config, Scheme.ACC, CHUNK_TRIALS + tail, base_seed=17)
+    np.testing.assert_array_equal(got, gain / LN2 * np.concatenate(expected))
 
 
 # ---------------------------------------------------------------- effective gain
