@@ -2,13 +2,18 @@
 validation, and stage-timeline export.
 
 Sweeps emit CSV or JSON with one row per (swept value, scheme-or-method).
-Output is byte-reproducible for a fixed spec and seed across runs and
-worker counts; wall-clock timing is therefore left out of the files unless
-explicitly requested.
+Closed forms come from one registry, ``ANALYTICS``, keyed by analysis
+method id, and every row of a sweep or figure is built by ``_row``, which
+turns a numeric failure into an error row. Output is byte-reproducible for
+a fixed spec and seed across runs and worker counts; wall-clock timing is
+therefore left out of the files unless explicitly requested.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import json
 import math
 import os
@@ -43,18 +48,36 @@ from .system import (
 
 AXIS_NAMES = ("rho_db", "users_per_group", "nominal_gain")
 
+
+def _over_tdm(rate):
+    """Registry entry for a closed-form rate: its gain is over the exact
+    TDM rate."""
+    def value(rho, users_per_group, gain):
+        tdm = analysis.exact_mn_rate(rho, 1).value
+        result = rate(rho, users_per_group, gain).value
+        return result, result / tdm
+    return value
+
+
+#: closed forms by analysis method id: (rho, users_per_group, gain) ->
+#: (rate, gain); the ratio limits have no rate
+ANALYTICS = {
+    analysis.EXACT_MN: lambda rho, b, g: (analysis.exact_mn_rate(rho, g).value,
+                                          analysis.mn_gain_exact(rho, g)),
+    analysis.EXACT_ACC_INTEGRAL: _over_tdm(analysis.acc_rate_exact_integral),
+    analysis.LOW_SNR_MN: _over_tdm(lambda rho, b, g: analysis.mn_rate_low_snr(rho, g)),
+    analysis.LOW_SNR_ACC_MULTINOMIAL: _over_tdm(analysis.acc_rate_low_snr),
+    analysis.LARGE_B_NORMAL: _over_tdm(analysis.acc_rate_large_b),
+    analysis.LARGE_B_RATIO_LIMIT: lambda rho, b, g: (None, analysis.acc_over_mn_large_b(rho, g)),
+    analysis.LOW_SNR_RATIO_LIMIT: lambda rho, b, g: (None, analysis.acc_over_mn_low_snr(g, b)),
+}
+
 #: names accepted by --analytics, normalized to analysis method ids
 ANALYTIC_ALIASES = {
-    "exact-mn": analysis.EXACT_MN,
-    "exact-acc-integral": analysis.EXACT_ACC_INTEGRAL,
+    **{method: method for method in ANALYTICS},
     "exact-acc": analysis.EXACT_ACC_INTEGRAL,
-    "low-snr-mn": analysis.LOW_SNR_MN,
     "low-snr-acc": analysis.LOW_SNR_ACC_MULTINOMIAL,
-    "low-snr-acc-multinomial": analysis.LOW_SNR_ACC_MULTINOMIAL,
     "large-b": analysis.LARGE_B_NORMAL,
-    "large-b-normal": analysis.LARGE_B_NORMAL,
-    "large-b-ratio-limit": analysis.LARGE_B_RATIO_LIMIT,
-    "low-snr-ratio-limit": analysis.LOW_SNR_RATIO_LIMIT,
 }
 
 
@@ -175,82 +198,56 @@ def _derived_seed(base_seed: int, point_index: int, kind: str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _row(swept, scheme, compute, started=None):
+    """One output row from compute(), which returns the row's other cells.
+    A CachecastError becomes an error row instead of aborting the sweep;
+    any other row carries its time since `started` (default: the call)."""
+    if started is None:
+        started = time.perf_counter()
+    try:
+        cells = compute()
+    except CachecastError as exc:
+        return ResultRow(swept=float(swept), scheme=scheme,
+                         error=f"{type(exc).__name__}: {exc}")
+    return ResultRow(swept=float(swept), scheme=scheme,
+                     wall_time_ms=1e3 * (time.perf_counter() - started), **cells)
+
+
+def _mc_cells(estimate, tdm):
+    gain = effective_gain(estimate, tdm)
+    # TDM over itself is exactly 1; effective_gain treats the two as
+    # independent estimates and would report a spurious error
+    return {"rate_mean": estimate.mean, "rate_stderr": estimate.std_err,
+            "gain": gain.value, "gain_stderr": 0.0 if estimate is tdm else gain.std_err,
+            "trials": estimate.num_trials}
+
+
 def _mc_rows(spec, index, value, rho, users_per_group, gain, label_suffix):
+    # built even without schemes: an impossible topology fails the sweep
     config = SystemConfig.from_gain(gain, users_per_group, rho,
                                     library_size=spec.library_size)
-    tdm_started = time.perf_counter()
-    tdm = mc_average_rate(config, Scheme.TDM, spec.num_trials,
-                          _derived_seed(spec.base_seed, index, "tdm-ref"))
-    tdm_elapsed = time.perf_counter() - tdm_started
-    rows = []
-    for scheme in spec.schemes:
-        started = time.perf_counter()
-        try:
-            if scheme is Scheme.TDM:
-                estimate = tdm
-            else:
-                estimate = mc_average_rate(
-                    config, scheme, spec.num_trials,
-                    _derived_seed(spec.base_seed, index, scheme.value))
-            gain_est = effective_gain(estimate, tdm)
-            gain_stderr = gain_est.std_err
-            elapsed = time.perf_counter() - started
-            if scheme is Scheme.TDM:
-                elapsed += tdm_elapsed
-                # TDM over itself is exactly 1; effective_gain treats the two
-                # as independent estimates and would report a spurious error
-                gain_stderr = 0.0
-            rows.append(ResultRow(
-                swept=float(value), scheme=scheme.value + label_suffix,
-                rate_mean=estimate.mean, rate_stderr=estimate.std_err,
-                gain=gain_est.value, gain_stderr=gain_stderr,
-                trials=estimate.num_trials, wall_time_ms=1e3 * elapsed))
-        except CachecastError as exc:
-            rows.append(ResultRow(swept=float(value), scheme=scheme.value + label_suffix,
-                                  error=f"{type(exc).__name__}: {exc}"))
-    return rows
+    if not spec.schemes:
+        return []
+
+    def estimate(scheme, kind):
+        return mc_average_rate(config, scheme, spec.num_trials,
+                               _derived_seed(spec.base_seed, index, kind))
+
+    # every gain is over this reference, so a fault in it (too few trials,
+    # a bad seed) fails the sweep; the tdm row's time includes it
+    started = time.perf_counter()
+    tdm = estimate(Scheme.TDM, "tdm-ref")
+    tdm_row = _row(value, Scheme.TDM.value + label_suffix, lambda: _mc_cells(tdm, tdm), started)
+    return [tdm_row if scheme is Scheme.TDM else
+            _row(value, scheme.value + label_suffix,
+                 lambda scheme=scheme: _mc_cells(estimate(scheme, scheme.value), tdm))
+            for scheme in spec.schemes]
 
 
-def _analytic_value(method, rho, users_per_group, gain):
-    """(rate, gain) for one closed form; ratio methods have no rate."""
-    if method == analysis.EXACT_MN:
-        rate = analysis.exact_mn_rate(rho, gain).value
-        return rate, analysis.mn_gain_exact(rho, gain)
-    tdm = analysis.exact_mn_rate(rho, 1).value
-    if method == analysis.LOW_SNR_MN:
-        rate = analysis.mn_rate_low_snr(rho, gain).value
-        return rate, rate / tdm
-    if method == analysis.LOW_SNR_ACC_MULTINOMIAL:
-        rate = analysis.acc_rate_low_snr(rho, users_per_group, gain).value
-        return rate, rate / tdm
-    if method == analysis.LARGE_B_NORMAL:
-        rate = analysis.acc_rate_large_b(rho, users_per_group, gain).value
-        return rate, rate / tdm
-    if method == analysis.EXACT_ACC_INTEGRAL:
-        rate = analysis.acc_rate_exact_integral(rho, users_per_group, gain).value
-        return rate, rate / tdm
-    if method == analysis.LARGE_B_RATIO_LIMIT:
-        return None, analysis.acc_over_mn_large_b(rho, gain)
-    if method == analysis.LOW_SNR_RATIO_LIMIT:
-        return None, analysis.acc_over_mn_low_snr(gain, users_per_group)
-    raise ParameterError(f"unknown analytic method {method!r}")
-
-
-def _analytic_rows(spec, value, rho, users_per_group, gain, label_suffix):
-    rows = []
-    for method in spec.analytics:
-        started = time.perf_counter()
-        try:
-            rate, gain_value = _analytic_value(method, rho, users_per_group, gain)
-            rows.append(ResultRow(
-                swept=float(value), scheme=method + label_suffix,
-                rate_mean=rate, rate_stderr=None,
-                gain=gain_value, gain_stderr=None, trials=None,
-                wall_time_ms=1e3 * (time.perf_counter() - started)))
-        except CachecastError as exc:
-            rows.append(ResultRow(swept=float(value), scheme=method + label_suffix,
-                                  error=f"{type(exc).__name__}: {exc}"))
-    return rows
+def _closed_form_row(swept, scheme, closed_form, rho, users_per_group, gain):
+    """Row of one closed form shaped like the ANALYTICS entries."""
+    return _row(swept, scheme, lambda: dict(
+        zip(("rate_mean", "gain"), closed_form(rho, users_per_group, gain))))
 
 
 def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
@@ -260,19 +257,13 @@ def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
     rows = []
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
-        rows.extend(_mc_rows(spec, index, value, rho, users_per_group, gain, label_suffix))
-        rows.extend(_analytic_rows(spec, value, rho, users_per_group, gain, label_suffix))
+        rows += _mc_rows(spec, index, value, rho, users_per_group, gain, label_suffix)
+        rows += [_closed_form_row(value, method + label_suffix, ANALYTICS[method],
+                                  rho, users_per_group, gain)
+                 for method in spec.analytics]
     if spec.out_path:
         write_rows(rows, spec.out_path, spec.out_format, spec.include_timing)
     return rows
-
-
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _record(row: ResultRow, include_timing: bool) -> dict:
@@ -301,10 +292,13 @@ def _atomic_write(path: str, text: str):
 def write_rows(rows, path: str, out_format: str = "csv", include_timing: bool = False):
     records = [_record(row, include_timing) for row in rows]
     if out_format == "csv":
-        lines = [CSV_HEADER]
-        lines += [",".join(_format_cell(cell) for cell in record.values())
-                  for record in records]
-        _atomic_write(path, "\n".join(lines) + "\n")
+        # None is written as an empty cell, floats as repr; only cells with a
+        # comma or quote (error messages) are quoted
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(record.values() for record in records)
+        _atomic_write(path, text.getvalue())
     elif out_format == "json":
         _atomic_write(path, json.dumps(records, indent=2, sort_keys=True) + "\n")
     else:
@@ -399,13 +393,10 @@ def _fig8(trials, seed):
     rows = run_sweep(ExperimentSpec("users_per_group", axis, nominal_gain=10, rho_db=0.0,
                                     schemes=("acc",), num_trials=trials, base_seed=seed))
     for method in (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC):
-        for b in axis:
-            rho = snr_from_db(0.0)
-            value = analysis.acc_rate_large_b(rho, b, 10, h_method=method).value
-            tdm = analysis.exact_mn_rate(rho, 1).value
-            rows.append(ResultRow(swept=float(b),
-                                  scheme=f"large-b-normal[h={method}]",
-                                  rate_mean=value, gain=value / tdm))
+        large_b = _over_tdm(functools.partial(analysis.acc_rate_large_b, h_method=method))
+        rows += [_closed_form_row(b, f"large-b-normal[h={method}]", large_b,
+                                  snr_from_db(0.0), b, 10)
+                 for b in axis]
     return rows
 
 
@@ -424,24 +415,20 @@ def _mc_ratio_rows(axis, gain, users_per_group, trials, seed, label):
             for acc, mn in zip(sweep[::2], sweep[1::2])]
 
 
+def _large_b_ghq_over_mn(rho, users_per_group, gain):
+    acc = analysis.acc_rate_large_b(rho, users_per_group, gain, h_method=analysis.H_GHQ).value
+    return acc, acc / analysis.exact_mn_rate(rho, gain).value
+
+
 def _fig9(trials, seed):
     # aggregated-over-XOR ratio vs SNR for gains beyond the closed-form
     # table, H via order-7 Gauss-Hermite
     rows = []
     axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
     for gain in (6, 8, 10):
-        for value in axis:
-            rho = snr_from_db(value)
-            try:
-                acc = analysis.acc_rate_large_b(rho, 6, gain, h_method=analysis.H_GHQ).value
-                mn = analysis.exact_mn_rate(rho, gain).value
-                rows.append(ResultRow(swept=float(value),
-                                      scheme=f"ratio-large-b-ghq7[g={gain}]",
-                                      rate_mean=acc, gain=acc / mn))
-            except CachecastError as exc:
-                rows.append(ResultRow(swept=float(value),
-                                      scheme=f"ratio-large-b-ghq7[g={gain}]",
-                                      error=f"{type(exc).__name__}: {exc}"))
+        rows += [_closed_form_row(value, f"ratio-large-b-ghq7[g={gain}]",
+                                  _large_b_ghq_over_mn, snr_from_db(value), 6, gain)
+                 for value in axis]
         rows += _mc_ratio_rows(axis, gain, 6, trials, seed, f"g={gain}")
     return rows
 

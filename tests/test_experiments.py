@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cachecast import cli
+from cachecast import analysis, cli, experiments
 from cachecast.cli import exit_code_for, main
 from cachecast.errors import NumericsError, ParameterError
 from cachecast.experiments import (
@@ -20,7 +21,8 @@ from cachecast.experiments import (
     validate_system,
     write_rows,
 )
-from cachecast.system import SeedSpec, SystemConfig
+from cachecast.rates import mc_average_rate
+from cachecast.system import SeedSpec, SystemConfig, snr_from_db
 
 
 # ---------------------------------------------------------------- axis parsing
@@ -95,6 +97,29 @@ def test_per_point_failures_are_recorded_not_raised():
     assert rows[1].error is None
 
 
+def test_analytics_only_sweep_runs_no_monte_carlo(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mc_average_rate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "mc_average_rate", counting)
+    rows = run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=(-10.0, 0.0),
+                                    nominal_gain=3, users_per_group=2,
+                                    analytics=("exact-mn", "low-snr-ratio-limit"),
+                                    num_trials=100, base_seed=2))
+    assert [row.error for row in rows] == [None] * 4
+    assert calls == []
+
+
+def test_registry_covers_every_analysis_method():
+    assert set(experiments.ANALYTICS) == set(analysis.APPROX_METHODS)
+    assert set(experiments.ANALYTIC_ALIASES.values()) <= set(experiments.ANALYTICS)
+    for method in experiments.ANALYTICS:
+        assert experiments.ANALYTIC_ALIASES[method] == method
+
+
 def test_csv_header_is_stable(tmp_path):
     path = tmp_path / "out.csv"
     spec = ExperimentSpec(axis_name="rho_db", axis_values=(0.0,),
@@ -133,13 +158,15 @@ def test_json_output_round_trips(tmp_path):
     assert loaded[1]["gain"] == pytest.approx(rows[1].gain)
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def _csv_records(path):
-    # the error message is the last column and may itself hold commas
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    return header, [dict(zip(header, line.split(",", len(header) - 1)))
-                    for line in lines[1:]]
+    header, *lines = _csv_rows(path)
+    assert all(len(line) == len(header) for line in lines)
+    return header, [dict(zip(header, line)) for line in lines]
 
 
 @pytest.mark.parametrize("include_timing", [False, True])
@@ -173,7 +200,7 @@ def test_timing_column_is_opt_in(tmp_path):
                           schemes=("tdm",), num_trials=100, base_seed=3,
                           out_path=str(path), include_timing=True)
     run_sweep(spec)
-    row = path.read_text().splitlines()[1].split(",")
+    row = _csv_rows(path)[1]
     assert row[7] != ""
 
 
@@ -186,9 +213,8 @@ def test_every_documented_preset_exists():
 
 def test_gain_collapse_preset_endpoints(tmp_path):
     path = run_figure("fig1", str(tmp_path), num_trials=100, base_seed=1)
-    lines = open(path).read().splitlines()
-    assert lines[0] == CSV_HEADER
-    rows = [line.split(",") for line in lines[1:]]
+    assert open(path).readline().rstrip("\n") == CSV_HEADER
+    rows = _csv_rows(path)[1:]
     by_curve = {}
     for cells in rows:
         by_curve.setdefault(cells[1], []).append((float(cells[0]), float(cells[4])))
@@ -203,11 +229,11 @@ def test_gain_collapse_preset_endpoints(tmp_path):
 
 def test_low_snr_ratio_preset_smoke(tmp_path):
     path = run_figure("fig4", str(tmp_path), num_trials=100, base_seed=1)
-    lines = open(path).read().splitlines()
-    curves = {line.split(",")[1] for line in lines[1:]}
+    rows = _csv_rows(path)[1:]
+    curves = {cells[1] for cells in rows}
     assert curves == {"low-snr-ratio-limit[g=2]", "low-snr-ratio-limit[g=5]",
                       "low-snr-ratio-limit[g=10]"}
-    assert all(line.split(",")[-1] == "" for line in lines[1:])
+    assert all(cells[-1] == "" for cells in rows)
 
 
 def test_fig10_ratio_rows_divide_the_sweep_rates(tmp_path):
@@ -229,6 +255,54 @@ def test_fig10_ratio_rows_divide_the_sweep_rates(tmp_path):
             assert ratios[key] == rate["acc", float(value)] / rate["mn", float(value)]
 
 
+def test_fig8_rows_evaluate_large_b_under_each_h_method():
+    rows = FIGURE_PRESETS["fig8"](100, 3)
+    tdm = analysis.exact_mn_rate(1.0, 1).value
+    methods = (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC)
+    checked = 0
+    for row in rows:
+        if not row.scheme.startswith("large-b-normal[h="):
+            continue
+        method = row.scheme[len("large-b-normal[h="):-1]
+        assert method in methods
+        rate = analysis.acc_rate_large_b(1.0, int(row.swept), 10, h_method=method).value
+        assert row.error is None
+        assert row.rate_mean == rate
+        assert row.gain == rate / tdm
+        checked += 1
+    assert checked == 3 * 10
+
+
+def test_fig8_numeric_failures_become_error_rows(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericsError("H out of budget")
+
+    monkeypatch.setattr(analysis, "acc_rate_large_b", failing)
+    rows = FIGURE_PRESETS["fig8"](100, 3)
+    large_b = [row for row in rows if row.scheme.startswith("large-b-normal")]
+    assert len(large_b) == 3 * 10
+    for row in large_b:
+        assert row.error == "NumericsError: H out of budget"
+        assert row.rate_mean is None and row.gain is None
+    assert all(row.error is None for row in rows if row.scheme == "acc")
+
+
+def test_fig9_ratio_rows_divide_large_b_by_exact_mn():
+    rows = FIGURE_PRESETS["fig9"](100, 4)
+    checked = 0
+    for row in rows:
+        if not row.scheme.startswith("ratio-large-b-ghq7"):
+            continue
+        gain = int(row.scheme[len("ratio-large-b-ghq7[g="):-1])
+        rho = snr_from_db(row.swept)
+        acc = analysis.acc_rate_large_b(rho, 6, gain, h_method=analysis.H_GHQ).value
+        assert row.error is None
+        assert row.rate_mean == acc
+        assert row.gain == acc / analysis.exact_mn_rate(rho, gain).value
+        checked += 1
+    assert checked == 3 * 26
+
+
 def test_unknown_preset_is_a_parameter_error(tmp_path):
     with pytest.raises(ParameterError):
         run_figure("fig2", str(tmp_path))
@@ -238,7 +312,7 @@ def test_rate_vs_group_size_preset_normal_form_tracks_simulation(tmp_path):
     # the large-group normal column stays within 5% of the simulated column
     # from ten users per group onward
     path = run_figure("fig7", str(tmp_path), num_trials=20_000, base_seed=2)
-    rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+    rows = _csv_rows(path)[1:]
     by_key = {(cells[1], float(cells[0])): cells for cells in rows}
     for gain in (2, 3, 4, 5):
         for users in (10, 16, 24, 32, 48, 64):
