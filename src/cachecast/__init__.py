@@ -36,10 +36,12 @@ from .numerics import (
 from .rates import (
     GainEstimate,
     RateEstimate,
+    SharedEstimate,
     effective_gain,
     inst_rate_acc,
     inst_rate_mn,
     mc_average_rate,
+    mc_average_rates,
     trial_rates,
 )
 from .scheduling import (

@@ -2,6 +2,8 @@
 validation, and stage-timeline export.
 
 Sweeps emit CSV or JSON with one row per (swept value, scheme-or-method).
+Monte Carlo rows of points with the same (gain, users_per_group) shape
+come from one shared estimation, ``rates.mc_average_rates``.
 Closed forms come from one registry, ``ANALYTICS``, keyed by analysis
 method id, and every row of a sweep or figure is built by ``_row``, which
 turns a numeric failure into an error row. Output is byte-reproducible for
@@ -27,7 +29,7 @@ from scipy import special
 
 from . import analysis
 from .errors import CachecastError, ParameterError
-from .rates import effective_gain, mc_average_rate, trial_rates
+from .rates import mc_average_rate, mc_average_rates, trial_rates
 from .scheduling import (
     acc_stage_completion_closed_form,
     acc_stage_timeline,
@@ -213,35 +215,46 @@ def _row(swept, scheme, compute, started=None):
                      wall_time_ms=1e3 * (time.perf_counter() - started), **cells)
 
 
-def _mc_cells(estimate, tdm):
-    gain = effective_gain(estimate, tdm)
-    # TDM over itself is exactly 1; effective_gain treats the two as
-    # independent estimates and would report a spurious error
-    return {"rate_mean": estimate.mean, "rate_stderr": estimate.std_err,
-            "gain": gain.value, "gain_stderr": 0.0 if estimate is tdm else gain.std_err,
-            "trials": estimate.num_trials}
+def _mc_seed(base_seed: int, gain: int, users_per_group: int) -> int:
+    """Seed of the shared draws of every point with this shape."""
+    return _derived_seed(base_seed, gain, f"shared-draws[b={users_per_group}]")
 
 
-def _mc_rows(spec, index, value, rho, users_per_group, gain, label_suffix):
-    # built even without schemes: an impossible topology fails the sweep
-    config = SystemConfig.from_gain(gain, users_per_group, rho,
-                                    library_size=spec.library_size)
+def _mc_estimates(spec):
+    """Shared Monte Carlo estimate of every point, by point index, with the
+    time its estimation started. Points with the same (gain,
+    users_per_group) shape are one estimation: one draw per chunk serves
+    all their SNRs and every scheme, TDM always included as the gain
+    reference. A fault in it (too few trials, a bad seed) fails the sweep."""
+    shapes = {}
+    for index, value in enumerate(spec.axis_values):
+        rho, users_per_group, gain = spec.point(value)
+        # built even without schemes: an impossible topology fails the sweep
+        SystemConfig.from_gain(gain, users_per_group, rho, library_size=spec.library_size)
+        shapes.setdefault((gain, users_per_group), []).append((index, rho))
     if not spec.schemes:
-        return []
+        return {}
+    schemes = tuple(dict.fromkeys((Scheme.TDM,) + spec.schemes))
+    estimates = {}
+    for (gain, users_per_group), points in shapes.items():
+        started = time.perf_counter()
+        shared = mc_average_rates(gain, users_per_group, [rho for _, rho in points],
+                                  schemes, spec.num_trials,
+                                  _mc_seed(spec.base_seed, gain, users_per_group))
+        estimates.update((index, (estimate, started))
+                         for (index, _), estimate in zip(points, shared))
+    return estimates
 
-    def estimate(scheme, kind):
-        return mc_average_rate(config, scheme, spec.num_trials,
-                               _derived_seed(spec.base_seed, index, kind))
 
-    # every gain is over this reference, so a fault in it (too few trials,
-    # a bad seed) fails the sweep; the tdm row's time includes it
-    started = time.perf_counter()
-    tdm = estimate(Scheme.TDM, "tdm-ref")
-    tdm_row = _row(value, Scheme.TDM.value + label_suffix, lambda: _mc_cells(tdm, tdm), started)
-    return [tdm_row if scheme is Scheme.TDM else
-            _row(value, scheme.value + label_suffix,
-                 lambda scheme=scheme: _mc_cells(estimate(scheme, scheme.value), tdm))
-            for scheme in spec.schemes]
+def _gain_cells(gain):
+    return {"gain": gain.value, "gain_stderr": gain.std_err,
+            "trials": gain.numerator.num_trials}
+
+
+def _mc_cells(shared, scheme):
+    rate = shared.rates[scheme]
+    return {"rate_mean": rate.mean, "rate_stderr": rate.std_err,
+            **_gain_cells(shared.gain(scheme))}
 
 
 def _closed_form_row(swept, scheme, closed_form, rho, users_per_group, gain):
@@ -254,10 +267,15 @@ def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
     """Evaluate the sweep and, when the spec names an output path, write it
     atomically. Per-point numeric failures land in the row's error column
     without aborting the sweep."""
+    estimates = _mc_estimates(spec)
     rows = []
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
-        rows += _mc_rows(spec, index, value, rho, users_per_group, gain, label_suffix)
+        if index in estimates:
+            shared, started = estimates[index]
+            rows += [_row(value, scheme.value + label_suffix,
+                          lambda scheme=scheme: _mc_cells(shared, scheme), started)
+                     for scheme in spec.schemes]
         rows += [_closed_form_row(value, method + label_suffix, ANALYTICS[method],
                                   rho, users_per_group, gain)
                  for method in spec.analytics]
@@ -401,18 +419,17 @@ def _fig8(trials, seed):
 
 
 def _mc_ratio_rows(axis, gain, users_per_group, trials, seed, label):
-    """Monte Carlo ACC-over-MN rate ratio at every SNR of the axis, from one
-    sweep of both schemes."""
-    sweep = run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=gain,
-                                     users_per_group=users_per_group,
-                                     schemes=("acc", "mn"), num_trials=trials,
-                                     base_seed=seed))
-    # each point yields an acc row, then an mn row
-    return [ResultRow(swept=acc.swept, scheme=f"mc-ratio[{label}]",
-                      gain=(acc.rate_mean / mn.rate_mean
-                            if acc.rate_mean and mn.rate_mean else None),
-                      trials=trials)
-            for acc, mn in zip(sweep[::2], sweep[1::2])]
+    """Monte Carlo ACC-over-MN rate ratio at every SNR of the axis, from the
+    draws a sweep of both schemes shares, so the ratio's error counts their
+    covariance."""
+    started = time.perf_counter()
+    shared = mc_average_rates(gain, users_per_group, [snr_from_db(v) for v in axis],
+                              (Scheme.ACC, Scheme.MN), trials,
+                              _mc_seed(seed, gain, users_per_group))
+    return [_row(value, f"mc-ratio[{label}]",
+                 lambda estimate=estimate: _gain_cells(estimate.gain(Scheme.ACC, Scheme.MN)),
+                 started)
+            for value, estimate in zip(axis, shared)]
 
 
 def _large_b_ghq_over_mn(rho, users_per_group, gain):
@@ -525,6 +542,9 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
     tol_scale multiplies every tolerance: 1.0 is the calibrated default,
     0.0 makes statistical checks impossible to pass (harness self-test).
     """
+    # here, not at module level: scipy.stats adds half a second to start-up
+    from scipy import stats
+
     if tol_scale < 0:
         raise ParameterError("tol_scale must be nonnegative")
     if num_trials < 1000:
@@ -553,15 +573,17 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
     mins = (-rho * np.log1p(-rng.random((m, gain)))).min(axis=1)
     mins.sort()
     ks = _ks_statistic(mins, 1.0 - np.exp(-mins * gain / rho))
-    add("min-snr-ks", ks, 1.628 / math.sqrt(m) * tol_scale, "KS vs Exp(rho/gain), 1% level")
+    add("min-snr-ks", ks, 1.628 / math.sqrt(m) * tol_scale,
+        f"KS vs Exp(rho/gain), 1% level; p={stats.kstwo.sf(ks, m):.3g}")
 
     # per-group capacity-sum structure: sum of B exponentials ~ Gamma(B, rho)
     b = config.users_per_group
     sums = (-rho * np.log1p(-rng.random((m, b)))).sum(axis=1)
     sums.sort()
     gamma_cdf = special.gammainc(b, sums / rho)
-    add("group-sum-gamma-ks", _ks_statistic(sums, gamma_cdf),
-        1.628 / math.sqrt(m) * tol_scale, "KS vs Gamma(B, rho), 1% level")
+    ks = _ks_statistic(sums, gamma_cdf)
+    add("group-sum-gamma-ks", ks, 1.628 / math.sqrt(m) * tol_scale,
+        f"KS vs Gamma(B, rho), 1% level; p={stats.kstwo.sf(ks, m):.3g}")
 
     # timeline event simulation vs closed-form completion + conservation
     worst_completion = 0.0

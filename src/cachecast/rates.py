@@ -11,10 +11,26 @@ Per-trial metrics (natural-log domain, single stage set by symmetry):
 Reported means carry the sum-rate prefactor nominal_gain/ln 2 (1/ln 2 for
 TDM), in bits/s/Hz.
 
-Estimates are deterministic functions of (config, scheme, num_trials,
-base_seed): trials are evaluated in fixed-size chunks, each chunk drawing
-from its own counter-derived substream, and partial moments are merged in a
-fixed tree order, so the result is bit-identical for any worker count.
+One estimator serves every scheme and every SNR of a (gain,
+users_per_group) shape. Each chunk of trials draws one array of standard
+exponentials E = -ln(1-u), laid out (users, trials, groups) and as wide as
+the widest requested scheme: TDM reads user 0 of group 0, MN user 0 of
+every group, ACC the whole array. Only ln(1 + rho E) and the reductions
+run once per SNR, so all schemes and SNRs share their draws.
+
+Each metric is corrected by a control variate: the same metric on the
+linear-SNR scale, divided by rho (E of the lone user, the smallest E of the
+served users, the smallest group mean of E). Their exact means are the
+paper's low-SNR forms over rho: 1, 1/gain and psi(gain, users)/users. The
+coefficients come from a pilot chunk on substream 0, which no estimate
+chunk uses (chunk i draws from substream i + 1), so the estimates stay
+unbiased.
+
+Estimates are deterministic functions of (gain, users_per_group, widest
+requested scheme, rho, num_trials, base_seed): every chunk returns the
+centred co-moments of its metrics and controls at each SNR, and these merge
+in a fixed tree order, so the result is bit-identical for any worker count
+and does not depend on which other SNRs are estimated alongside.
 """
 
 from __future__ import annotations
@@ -27,14 +43,18 @@ from typing import Sequence
 
 import numpy as np
 
+from . import analysis
 from .errors import NumericsError, ParameterError
 from .system import Scheme, SeedSpec, SnrMatrix, SystemConfig, substream
 
 LN2 = math.log(2.0)
 
 #: Trials per substream chunk. Part of the estimator definition: trial i
-#: always lives at offset i % CHUNK of substream i // CHUNK.
+#: always lives at offset i % CHUNK of substream 1 + i // CHUNK.
 CHUNK_TRIALS = 8192
+
+#: Substream of the pilot chunk that fixes the control-variate coefficients.
+PILOT_SUBSTREAM = 0
 
 WORKERS_ENV_VAR = "CACHECAST_WORKERS"
 
@@ -57,12 +77,28 @@ class RateEstimate:
 
 @dataclass(frozen=True)
 class GainEstimate:
-    """Ratio of a scheme's average rate to the TDM average rate."""
+    """Ratio of a scheme's average rate to a reference scheme's, TDM unless
+    stated."""
 
     value: float
     std_err: float
     numerator: RateEstimate
     denominator: RateEstimate
+
+
+@dataclass(frozen=True)
+class SharedEstimate:
+    """Estimates of several schemes' average rates at one SNR from common
+    draws, with the covariance of every pair of them."""
+
+    rates: dict
+    covariance: dict
+
+    def gain(self, scheme, reference=Scheme.TDM) -> GainEstimate:
+        """Ratio of the scheme's rate to the reference scheme's."""
+        scheme, reference = Scheme.parse(scheme), Scheme.parse(reference)
+        return effective_gain(self.rates[scheme], self.rates[reference],
+                              self.covariance[scheme, reference])
 
 
 def inst_rate_mn(group_user_snrs: Sequence[float]) -> float:
@@ -96,46 +132,99 @@ def _resolve_workers(workers) -> int:
     return count
 
 
-def _scheme_shape(config: SystemConfig, scheme: Scheme):
-    """(groups, users, sum-rate prefactor) of the simulated stage."""
-    g = config.nominal_gain
-    if scheme is Scheme.ACC:
-        return g, config.users_per_group, g / LN2
-    if scheme is Scheme.MN:
-        return g, 1, g / LN2
-    return 1, 1, 1.0 / LN2
+def _scheme_columns(gain: int, users_per_group: int, schemes):
+    """(groups, users) metric shape of each scheme. Equal shapes are one
+    column: ACC with one user per group is MN, and MN at gain 1 is TDM."""
+    shapes = {Scheme.TDM: (1, 1), Scheme.MN: (gain, 1),
+              Scheme.ACC: (gain, users_per_group)}
+    return {scheme: shapes[scheme] for scheme in schemes}
 
 
-def _chunk_metrics(rho: float, groups: int, users: int, base_seed: int,
-                   chunk_index: int, count: int) -> np.ndarray:
-    """Natural-log metric for `count` trials of one substream chunk."""
-    rng = substream(SeedSpec(base_seed=base_seed, trial_index=chunk_index))
-    u = rng.random((count, groups, users))
-    # ln(1 + SNR) with SNR = -rho ln(1-u), transformed in place: fresh
-    # chunk-sized temporaries may go back to the OS after every chunk and
-    # fault in again page by page on the next
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u *= -rho
-    np.log1p(u, out=u)
-    return u.mean(axis=2).min(axis=1)
+def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
+                  users: int) -> np.ndarray:
+    """Standard exponentials E = -ln(1-u) of the first `count` trials of one
+    substream chunk, laid out (users, trials, groups)."""
+    # the chunk is drawn whole, so that a trial's draws do not depend on how
+    # many of the chunk's trials are used
+    e = substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)).random(
+        (users, CHUNK_TRIALS, groups))[:, :count]
+    # in place: fresh chunk-sized temporaries may go back to the OS after
+    # every chunk and fault in again page by page on the next
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    return e
+
+
+def _column_values(first, group_mean, columns):
+    """Per-trial value of each (groups, users) column, from user 0's
+    (trials, groups) values and, for the one multi-user column, the
+    callable group_mean(). Columns come sorted, so that one is last."""
+    out = []
+    for groups, users in columns:
+        if users > 1:
+            out.append(group_mean().min(axis=1))
+        elif groups == 1:
+            out.append(first[:, 0].copy())  # a view would keep `first` alive
+        else:
+            out.append(first.min(axis=1))
+    return out
+
+
+def _controls(e, columns):
+    """Each column's metric on E instead of ln(1 + rho E)."""
+    def group_mean():
+        total = e.sum(axis=0)
+        total /= e.shape[0]
+        return total
+    return _column_values(e[0], group_mean, columns)
+
+
+def _log_metrics(e, rho, columns):
+    """Each column's natural-log metric at SNR rho, one user at a time so
+    that no second chunk-sized array is made."""
+    def log1p_user(j):
+        values = np.multiply(e[j], rho)
+        return np.log1p(values, out=values)
+
+    first = log1p_user(0)
+
+    def group_mean():
+        total = first  # summed in place: the single-user columns have read it
+        for j in range(1, e.shape[0]):
+            total += log1p_user(j)
+        total /= e.shape[0]
+        return total
+    return _column_values(first, group_mean, columns)
 
 
 def _chunk_moments(args):
-    rho, groups, users, base_seed, chunk_index, count = args
-    v = _chunk_metrics(rho, groups, users, base_seed, chunk_index, count)
-    mean = float(v.mean())
-    m2 = float(np.sum((v - mean) ** 2))
-    return count, mean, m2
+    """(trials, mean, centred co-moments) of the metrics and then the
+    controls of every column, one row per SNR."""
+    columns, rhos, base_seed, substream_index, count = args
+    e = _exponentials(base_seed, substream_index, count,
+                      max(groups for groups, _ in columns),
+                      max(users for _, users in columns))
+    controls = _controls(e, columns)
+    means, comoments = [], []
+    for rho in rhos:
+        values = np.stack(_log_metrics(e, rho, columns) + controls)
+        mean = values.mean(axis=1)
+        values -= mean[:, None]
+        means.append(mean)
+        # einsum, not BLAS: its sums do not depend on the thread count
+        comoments.append(np.einsum("ik,jk->ij", values, values))
+    return count, np.array(means), np.array(comoments)
 
 
 def _merge_moments(a, b):
+    # Chan et al.'s pairwise update, for a vector of means per SNR
     n1, m1, s1 = a
     n2, m2, s2 = b
     n = n1 + n2
     delta = m2 - m1
     mean = m1 + delta * (n2 / n)
-    s = s1 + s2 + delta * delta * (n1 * n2 / n)
+    s = s1 + s2 + delta[..., :, None] * delta[..., None, :] * (n1 * n2 / n)
     return n, mean, s
 
 
@@ -152,49 +241,97 @@ def _tree_reduce(parts):
     return parts[0]
 
 
-def _chunk_plan(rho, groups, users, base_seed, num_trials):
-    plan = []
-    for chunk_index, start in enumerate(range(0, num_trials, CHUNK_TRIALS)):
-        count = min(CHUNK_TRIALS, num_trials - start)
-        plan.append((rho, groups, users, base_seed, chunk_index, count))
-    return plan
+def _chunk_plan(num_trials):
+    """(substream, trials) of every estimate chunk."""
+    return [(1 + chunk_index, min(CHUNK_TRIALS, num_trials - start))
+            for chunk_index, start in enumerate(range(0, num_trials, CHUNK_TRIALS))]
 
 
-def mc_average_rate(config: SystemConfig, scheme: Scheme, num_trials: int,
-                    base_seed: int, *, workers=None) -> RateEstimate:
-    """Monte Carlo estimate of the scheme's average sum rate in bits/s/Hz.
+def _control_mean(groups: int, users: int) -> float:
+    """Exact mean of a column's control: psi(groups, users)/users, whose
+    single-user value 1/groups is taken exactly."""
+    return 1.0 / groups if users == 1 else analysis.psi(groups, users) / users
 
-    Deterministic for fixed (config, scheme, num_trials, base_seed)
-    regardless of the worker count.
+
+def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials: int,
+                     base_seed: int, *, workers=None) -> list:
+    """Monte Carlo estimates of the schemes' average sum rates in
+    bits/s/Hz at every SNR in `rhos` (linear), one SharedEstimate per SNR,
+    all from the same draws.
+
+    Deterministic for fixed (gain, users_per_group, widest scheme, rho,
+    num_trials, base_seed) regardless of the worker count and of the other
+    SNRs in `rhos`.
     """
-    scheme = Scheme.parse(scheme)
+    schemes = tuple(Scheme.parse(s) for s in schemes)
+    rhos = [float(rho) for rho in rhos]
+    if not schemes or not rhos:
+        raise ParameterError("estimate at least one scheme at one SNR")
+    for rho in rhos:
+        SystemConfig.from_gain(gain, users_per_group, rho)  # validate the shape
     if not isinstance(num_trials, (int, np.integer)) or num_trials < 100:
         raise ParameterError(f"num_trials must be an integer >= 100, got {num_trials}")
     SeedSpec(base_seed=base_seed)  # validate range
     worker_count = _resolve_workers(workers)
 
-    groups, users, prefactor = _scheme_shape(config, scheme)
-    plan = _chunk_plan(config.avg_snr, groups, users, base_seed, int(num_trials))
+    scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
+    columns = sorted(set(scheme_columns.values()))
+    index = {scheme: columns.index(column) for scheme, column in scheme_columns.items()}
+    _, _, pilot_comoments = _chunk_moments(
+        (columns, rhos, base_seed, PILOT_SUBSTREAM, CHUNK_TRIALS))
+    plan = [(columns, rhos, base_seed, index, count)
+            for index, count in _chunk_plan(int(num_trials))]
     if worker_count == 1 or len(plan) == 1:
         parts = [_chunk_moments(args) for args in plan]
     else:
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
             parts = list(pool.map(_chunk_moments, plan))
-    n, mean, m2 = _tree_reduce(parts)
-    if n < 2:
-        raise ParameterError("at least two trials are required for a standard error")
-    sample_var = m2 / (n - 1)
-    return RateEstimate(
-        mean=prefactor * mean,
-        std_err=prefactor * math.sqrt(sample_var / n),
-        num_trials=n,
-        scheme=scheme,
-    )
+    n, means, comoments = _tree_reduce(parts)
+
+    k = len(columns)
+    control_means = np.array([_control_mean(*column) for column in columns])
+    prefactor = np.array([groups / LN2 for groups, _ in columns])
+    estimates = []
+    for mean, s, pilot in zip(means, comoments, pilot_comoments):
+        # coefficient of each metric on its own control, from the pilot
+        beta = np.diag(pilot[:k, k:]) / np.diag(pilot[k:, k:])
+        value = prefactor * (mean[:k] - beta * (mean[k:] - control_means))
+        # co-moments of metric - beta control, element by element so that a
+        # column's result does not depend on the other columns
+        corrected = (s[:k, :k] - s[:k, k:] * beta - beta[:, None] * s[k:, :k]
+                     + np.outer(beta, beta) * s[k:, k:])
+        cov = np.outer(prefactor, prefactor) * corrected / (n * (n - 1))
+        std_err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        rates = {scheme: RateEstimate(mean=float(value[i]), std_err=float(std_err[i]),
+                                      num_trials=n, scheme=scheme)
+                 for scheme, i in index.items()}
+        # within one column the covariance is the squared standard error,
+        # so a column over itself has a gain error of exactly 0
+        covariance = {(a, b): float(std_err[i] ** 2 if i == j else cov[i, j])
+                      for a, i in index.items() for b, j in index.items()}
+        estimates.append(SharedEstimate(rates=rates, covariance=covariance))
+    return estimates
+
+
+def mc_average_rate(config: SystemConfig, scheme: Scheme, num_trials: int,
+                    base_seed: int, *, workers=None) -> RateEstimate:
+    """Monte Carlo estimate of the scheme's average sum rate in bits/s/Hz:
+    the one-point, one-scheme view of mc_average_rates.
+
+    Deterministic for fixed (config, scheme, num_trials, base_seed)
+    regardless of the worker count.
+    """
+    scheme = Scheme.parse(scheme)
+    (estimate,) = mc_average_rates(config.nominal_gain, config.users_per_group,
+                                   [config.avg_snr], [scheme], num_trials, base_seed,
+                                   workers=workers)
+    return estimate.rates[scheme]
 
 
 def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
                 base_seed: int) -> np.ndarray:
-    """Per-trial rate metric in bits/s/Hz, in trial order.
+    """Per-trial rate metric in bits/s/Hz, in trial order, before any
+    control-variate correction.
 
     Exposes the exact per-realization values behind mc_average_rate;
     intended for coupled-path comparisons and diagnostics.
@@ -202,20 +339,23 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
     scheme = Scheme.parse(scheme)
     if num_trials < 1:
         raise ParameterError("num_trials must be positive")
-    groups, users, prefactor = _scheme_shape(config, scheme)
-    plan = _chunk_plan(config.avg_snr, groups, users, base_seed, int(num_trials))
-    chunks = [_chunk_metrics(rho, g, u, seed, idx, count)
-              for rho, g, u, seed, idx, count in plan]
-    return prefactor * np.concatenate(chunks)
+    column = _scheme_columns(config.nominal_gain, config.users_per_group, [scheme])[scheme]
+    chunks = [_log_metrics(_exponentials(base_seed, index, count, *column),
+                           config.avg_snr, [column])[0]
+              for index, count in _chunk_plan(int(num_trials))]
+    return column[0] / LN2 * np.concatenate(chunks)
 
 
-def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate) -> GainEstimate:
-    """Speed-up of a scheme over TDM, with first-order error propagation."""
+def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
+                   covariance: float = 0.0) -> GainEstimate:
+    """Speed-up of a scheme over TDM (or another reference), with
+    first-order error propagation. `covariance` is that of the two
+    estimates: 0 for independent draws, and the squared standard error for
+    an estimate over itself, whose gain error is then exactly 0."""
     if not (tdm_rate.mean > 0):
         raise NumericsError("TDM reference rate must be positive to form a gain")
     value = scheme_rate.mean / tdm_rate.mean
-    std_err = math.sqrt(
-        (scheme_rate.std_err / tdm_rate.mean) ** 2
-        + (scheme_rate.mean * tdm_rate.std_err / tdm_rate.mean ** 2) ** 2)
-    return GainEstimate(value=value, std_err=std_err,
+    variance = (scheme_rate.std_err ** 2 - 2.0 * value * covariance
+                + value * value * tdm_rate.std_err ** 2) / tdm_rate.mean ** 2
+    return GainEstimate(value=value, std_err=math.sqrt(max(variance, 0.0)),
                         numerator=scheme_rate, denominator=tdm_rate)

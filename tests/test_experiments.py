@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cachecast import analysis, cli, experiments
 from cachecast.cli import exit_code_for, main
@@ -21,7 +23,7 @@ from cachecast.experiments import (
     validate_system,
     write_rows,
 )
-from cachecast.rates import mc_average_rate
+from cachecast.rates import mc_average_rates
 from cachecast.system import SeedSpec, SystemConfig, snr_from_db
 
 
@@ -102,15 +104,50 @@ def test_analytics_only_sweep_runs_no_monte_carlo(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return mc_average_rate(*args, **kwargs)
+        return mc_average_rates(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "mc_average_rate", counting)
+    monkeypatch.setattr(experiments, "mc_average_rates", counting)
     rows = run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=(-10.0, 0.0),
                                     nominal_gain=3, users_per_group=2,
                                     analytics=("exact-mn", "low-snr-ratio-limit"),
                                     num_trials=100, base_seed=2))
     assert [row.error for row in rows] == [None] * 4
     assert calls == []
+
+
+def test_single_user_groups_make_acc_and_mn_rows_identical():
+    rows = run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=(-20.0, 0.0, 20.0),
+                                    nominal_gain=4, users_per_group=1,
+                                    schemes=("tdm", "mn", "acc"), num_trials=3000,
+                                    base_seed=21))
+    for tdm, mn, acc in zip(rows[::3], rows[1::3], rows[2::3]):
+        assert (tdm.gain, tdm.gain_stderr) == (1.0, 0.0)
+        assert (mn.rate_mean, mn.rate_stderr, mn.gain, mn.gain_stderr) == (
+            acc.rate_mean, acc.rate_stderr, acc.gain, acc.gain_stderr)
+
+
+def test_multi_rho_sweep_is_byte_identical_across_worker_counts(tmp_path, monkeypatch):
+    outputs = []
+    for workers in ("1", "2", "8"):
+        monkeypatch.setenv("CACHECAST_WORKERS", workers)
+        path = tmp_path / f"workers{workers}.csv"
+        run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=(-40.0, -10.0, 20.0, 60.0),
+                                 nominal_gain=3, users_per_group=4,
+                                 schemes=("acc", "tdm", "mn"), num_trials=40_000,
+                                 base_seed=13, out_path=str(path)))
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_point_does_not_depend_on_the_other_points_of_its_sweep():
+    def sweep(axis):
+        return run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=axis,
+                                        nominal_gain=3, users_per_group=2,
+                                        schemes=("tdm", "mn", "acc"), num_trials=1000,
+                                        base_seed=17))
+    alone, among = sweep((5.0,)), sweep((-5.0, 5.0, 15.0))
+    strip = [dataclasses.replace(row, wall_time_ms=None) for row in alone + among[3:6]]
+    assert strip[:3] == strip[3:]
 
 
 def test_registry_covers_every_analysis_method():
@@ -253,6 +290,9 @@ def test_fig10_ratio_rows_divide_the_sweep_rates(tmp_path):
         for value in axis:
             key = (f"mc-ratio[b={b}]", float(value))
             assert ratios[key] == rate["acc", float(value)] / rate["mn", float(value)]
+    # the ratio's error comes from the covariance of the shared draws
+    assert all(float(line["gain_stderr"]) > 0.0 for line in table
+               if line["scheme"].startswith("mc-ratio"))
 
 
 def test_fig8_rows_evaluate_large_b_under_each_h_method():
@@ -334,6 +374,21 @@ def test_default_validation_passes():
     names = {check.name for check in report.checks}
     assert "placement-clique" in names
     assert "mc-tdm-vs-exact" in names
+
+
+def test_ks_checks_report_their_p_value():
+    config = SystemConfig.from_gain(2, 3, avg_snr=1.0)
+    report = validate_system(config, num_trials=5_000, base_seed=42)
+    for check in report.checks:
+        if check.name.endswith("-ks"):
+            p = float(check.detail.rpartition("p=")[2])
+            assert p == pytest.approx(stats.kstwo.sf(check.measured, 5_000), rel=1e-2)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, cachecast.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout.strip() == "False", result.stderr
 
 
 def test_zero_tolerance_fails_the_harness():

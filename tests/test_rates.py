@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from cachecast.analysis import exact_mn_rate, mn_gain_exact
 from cachecast.errors import NumericsError, ParameterError
@@ -13,6 +15,7 @@ from cachecast.rates import (
     inst_rate_acc,
     inst_rate_mn,
     mc_average_rate,
+    mc_average_rates,
     trial_rates,
 )
 from cachecast.system import (
@@ -137,16 +140,18 @@ def test_trial_rates_order_is_stable_across_chunks():
 
 
 def test_acc_trial_rates_match_the_out_of_place_formula():
-    # the chunk metric is evaluated in place; it must equal the textbook
-    # expression on the same Philox substream bit for bit
+    # the chunk metric is evaluated in place, one user at a time; it must
+    # equal the textbook expression on the same Philox substream bit for
+    # bit. Chunk i draws a whole chunk, laid out (users, trials, groups), from
+    # substream i + 1
     rho, gain, users, tail = 2.5, 3, 4, 500
     config = SystemConfig.from_gain(gain, users, avg_snr=rho)
     expected = []
     for chunk_index, count in enumerate((CHUNK_TRIALS, tail)):
-        u = substream(SeedSpec(base_seed=17, trial_index=chunk_index)).random(
-            (count, gain, users))
+        u = substream(SeedSpec(base_seed=17, trial_index=chunk_index + 1)).random(
+            (users, CHUNK_TRIALS, gain))[:, :count]
         snr = -rho * np.log1p(-u)
-        expected.append(np.log1p(snr).mean(axis=2).min(axis=1))
+        expected.append(np.log1p(snr).mean(axis=0).min(axis=1))
     got = trial_rates(config, Scheme.ACC, CHUNK_TRIALS + tail, base_seed=17)
     np.testing.assert_array_equal(got, gain / LN2 * np.concatenate(expected))
 
@@ -195,3 +200,117 @@ def test_high_snr_gain_matches_the_exact_ratio():
     exact = mn_gain_exact(1e6, 4)
     assert exact == pytest.approx(3.5811377, abs=1e-6)
     assert abs(gain.value - exact) < 3 * gain.std_err
+
+
+# ---------------------------------------------------------------- shared draws
+
+SHAPE = (4, 3)  # gain, users per group
+
+
+def _shared(rhos_db, seed, trials=2000, schemes=("tdm", "mn", "acc"), **kwargs):
+    return mc_average_rates(*SHAPE, [10.0 ** (v / 10.0) for v in rhos_db], schemes,
+                            trials, seed, **kwargs)
+
+
+def test_an_estimate_does_not_depend_on_the_other_snrs_or_narrower_schemes():
+    # TDM and MN columns never widen the chunk, and each SNR is reduced on
+    # its own, so dropping either changes no bit of the ACC estimate
+    full = _shared((-20.0, 0.0, 20.0), seed=3)
+    alone = _shared((0.0,), seed=3, schemes=("acc",))
+    assert full[1].rates[Scheme.ACC] == alone[0].rates[Scheme.ACC]
+
+
+def test_tdm_over_itself_has_gain_one_and_no_error():
+    for estimate in _shared((-40.0, 0.0, 60.0), seed=4):
+        gain = estimate.gain(Scheme.TDM)
+        assert gain.value == 1.0 and gain.std_err == 0.0
+
+
+def test_shared_estimates_are_identical_across_worker_counts():
+    one, two, eight = (_shared((-20.0, 0.0, 20.0), seed=5, trials=30_000, workers=w)
+                       for w in (1, 2, 8))
+    assert one == two == eight
+
+
+@pytest.mark.parametrize("rho_db", [-40.0, 60.0])
+def test_estimates_at_the_domain_edges_are_finite_and_unbiased(rho_db):
+    rho = 10.0 ** (rho_db / 10.0)
+    (estimate,) = _shared((rho_db,), seed=6, trials=100_000)
+    for scheme, exact_gain in ((Scheme.TDM, 1), (Scheme.MN, SHAPE[0])):
+        rate = estimate.rates[scheme]
+        assert math.isfinite(rate.mean) and 0.0 < rate.std_err < math.inf
+        exact = exact_mn_rate(rho, exact_gain).value
+        assert abs(rate.mean - exact) < 4.0 * rate.std_err, (scheme, rate, exact)
+    acc = estimate.rates[Scheme.ACC]
+    assert math.isfinite(acc.mean) and math.isfinite(acc.std_err)
+
+
+def test_control_variates_shrink_the_low_snr_error():
+    # at -20 dB a rate is nearly linear in the SNR, so its linear-scale
+    # control leaves a small fraction of the plain Monte Carlo error
+    (estimate,) = _shared((-20.0,), seed=7, trials=20_000)
+    # without controls the per-trial sd is about rho / ln 2 for both: the
+    # TDM metric is near rho E / ln 2, the MN one near (g / ln 2) rho min E,
+    # and min E has sd 1 / g
+    plain_sd = 0.01 / LN2
+    for scheme in (Scheme.TDM, Scheme.MN):
+        assert estimate.rates[scheme].std_err < 0.05 * plain_sd / math.sqrt(20_000)
+
+
+HONESTY_SEEDS = range(1000, 1200)
+HONESTY_RHOS_DB = (-20.0, 0.0, 20.0)
+#: two-sided level of each chi-square check of a reported error bar
+HONESTY_LEVEL = 1e-3
+
+
+def test_reported_error_bars_match_the_spread_across_seeds():
+    # Over 200 seeds of 2000 trials, (N - 1) s^2 / sigma^2 is chi-square
+    # with N - 1 degrees of freedom, where s^2 is the sample variance of the
+    # estimates and sigma^2 is taken as the mean reported variance. Each of
+    # the 15 (SNR, quantity) checks is two-sided at HONESTY_LEVEL. The
+    # z-scores against the exact rate are tested per SNR, since the SNRs of
+    # one seed share their draws and only the seeds are independent.
+    runs = [_shared(HONESTY_RHOS_DB, seed) for seed in HONESTY_SEEDS]
+    n = len(runs)
+    low, high = stats.chi2.ppf([HONESTY_LEVEL / 2, 1 - HONESTY_LEVEL / 2], n - 1)
+    for i, rho_db in enumerate(HONESTY_RHOS_DB):
+        rho = 10.0 ** (rho_db / 10.0)
+        quantities = {f"rate {s.value}": [(run[i].rates[s].mean, run[i].rates[s].std_err)
+                                          for run in runs] for s in Scheme}
+        quantities.update({f"gain {s.value}": [(run[i].gain(s).value, run[i].gain(s).std_err)
+                                               for run in runs]
+                           for s in (Scheme.MN, Scheme.ACC)})
+        for name, pairs in quantities.items():
+            values, std_errs = np.array(pairs).T
+            statistic = (n - 1) * values.var(ddof=1) / np.mean(std_errs ** 2)
+            assert low <= statistic <= high, (rho_db, name, statistic, (low, high))
+        for scheme, gain in ((Scheme.TDM, 1), (Scheme.MN, SHAPE[0])):
+            exact = exact_mn_rate(rho, gain).value
+            z = [(run[i].rates[scheme].mean - exact) / run[i].rates[scheme].std_err
+                 for run in runs]
+            assert stats.kstest(z, "norm").pvalue > 0.01, (rho_db, scheme)
+
+
+def test_a_sweep_keeps_at_most_one_chunk_array_live():
+    # one chunk array is (users, CHUNK_TRIALS, groups) doubles; everything
+    # else a sweep allocates is a per-user slice or smaller
+    gain, users = 4, 32
+    chunk_bytes = users * CHUNK_TRIALS * gain * 8
+    rhos = [0.01, 1.0, 100.0]
+    mc_average_rates(gain, users, rhos, ("tdm", "mn", "acc"), 100, 9)  # warm caches
+    tracemalloc.start()
+    try:
+        mc_average_rates(gain, users, rhos, ("tdm", "mn", "acc"), 3 * CHUNK_TRIALS, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
+
+
+def test_gain_error_counts_the_covariance():
+    numerator = RateEstimate(mean=2.0, std_err=0.02, num_trials=1000, scheme=Scheme.MN)
+    denominator = RateEstimate(mean=1.0, std_err=0.01, num_trials=1000, scheme=Scheme.TDM)
+    covariance = 0.5 * 0.02 * 0.01
+    gain = effective_gain(numerator, denominator, covariance)
+    expected = math.sqrt(0.02 ** 2 + (2.0 * 0.01) ** 2 - 2 * 2.0 * covariance)
+    assert gain.std_err == pytest.approx(expected, rel=1e-12)
