@@ -29,7 +29,7 @@ from scipy import special
 
 from . import analysis
 from .errors import CachecastError, ParameterError
-from .rates import mc_average_rate, mc_average_rates, trial_rates
+from .rates import check_run, mc_average_rate, mc_average_rates, trial_rates
 from .scheduling import (
     acc_stage_completion_closed_form,
     acc_stage_timeline,
@@ -195,24 +195,25 @@ def parse_axis(text: str):
 
 
 def _derived_seed(base_seed: int, point_index: int, kind: str) -> int:
+    SeedSpec(base_seed=base_seed)  # a bad seed is a ParameterError
     # crc32 keeps the derivation stable across processes (unlike hash())
     entropy = (int(base_seed), int(point_index), zlib.crc32(kind.encode()))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _row(swept, scheme, compute, started=None):
+def _row(swept, scheme, compute, shared_s=0.0):
     """One output row from compute(), which returns the row's other cells.
     A CachecastError becomes an error row instead of aborting the sweep;
-    any other row carries its time since `started` (default: the call)."""
-    if started is None:
-        started = time.perf_counter()
+    any other row carries the time of compute() plus `shared_s`, that of
+    the shared work the row reads."""
+    started = time.perf_counter()
     try:
         cells = compute()
     except CachecastError as exc:
         return ResultRow(swept=float(swept), scheme=scheme,
                          error=f"{type(exc).__name__}: {exc}")
     return ResultRow(swept=float(swept), scheme=scheme,
-                     wall_time_ms=1e3 * (time.perf_counter() - started), **cells)
+                     wall_time_ms=1e3 * (shared_s + time.perf_counter() - started), **cells)
 
 
 def _mc_seed(base_seed: int, gain: int, users_per_group: int) -> int:
@@ -222,10 +223,12 @@ def _mc_seed(base_seed: int, gain: int, users_per_group: int) -> int:
 
 def _mc_estimates(spec):
     """Shared Monte Carlo estimate of every point, by point index, with the
-    time its estimation started. Points with the same (gain,
-    users_per_group) shape are one estimation: one draw per chunk serves
-    all their SNRs and every scheme, TDM always included as the gain
-    reference. A fault in it (too few trials, a bad seed) fails the sweep."""
+    time in seconds its shape's estimation took. Points with the same
+    (gain, users_per_group) shape are one estimation: one draw per chunk
+    serves all their SNRs and every scheme, TDM always included as the gain
+    reference. A bad trial count or seed fails the sweep; any other
+    CachecastError stands in for the estimate of its shape's points, whose
+    rows become error rows."""
     shapes = {}
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
@@ -234,14 +237,19 @@ def _mc_estimates(spec):
         shapes.setdefault((gain, users_per_group), []).append((index, rho))
     if not spec.schemes:
         return {}
+    check_run(spec.num_trials, spec.base_seed)
     schemes = tuple(dict.fromkeys((Scheme.TDM,) + spec.schemes))
     estimates = {}
     for (gain, users_per_group), points in shapes.items():
         started = time.perf_counter()
-        shared = mc_average_rates(gain, users_per_group, [rho for _, rho in points],
-                                  schemes, spec.num_trials,
-                                  _mc_seed(spec.base_seed, gain, users_per_group))
-        estimates.update((index, (estimate, started))
+        try:
+            shared = mc_average_rates(gain, users_per_group, [rho for _, rho in points],
+                                      schemes, spec.num_trials,
+                                      _mc_seed(spec.base_seed, gain, users_per_group))
+        except CachecastError as exc:
+            shared = [exc] * len(points)
+        elapsed = time.perf_counter() - started
+        estimates.update((index, (estimate, elapsed))
                          for (index, _), estimate in zip(points, shared))
     return estimates
 
@@ -252,6 +260,8 @@ def _gain_cells(gain):
 
 
 def _mc_cells(shared, scheme):
+    if isinstance(shared, CachecastError):
+        raise shared
     rate = shared.rates[scheme]
     return {"rate_mean": rate.mean, "rate_stderr": rate.std_err,
             **_gain_cells(shared.gain(scheme))}
@@ -272,9 +282,9 @@ def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
         if index in estimates:
-            shared, started = estimates[index]
+            shared, elapsed = estimates[index]
             rows += [_row(value, scheme.value + label_suffix,
-                          lambda scheme=scheme: _mc_cells(shared, scheme), started)
+                          lambda scheme=scheme: _mc_cells(shared, scheme), elapsed)
                      for scheme in spec.schemes]
         rows += [_closed_form_row(value, method + label_suffix, ANALYTICS[method],
                                   rho, users_per_group, gain)
@@ -426,9 +436,10 @@ def _mc_ratio_rows(axis, gain, users_per_group, trials, seed, label):
     shared = mc_average_rates(gain, users_per_group, [snr_from_db(v) for v in axis],
                               (Scheme.ACC, Scheme.MN), trials,
                               _mc_seed(seed, gain, users_per_group))
+    elapsed = time.perf_counter() - started
     return [_row(value, f"mc-ratio[{label}]",
                  lambda estimate=estimate: _gain_cells(estimate.gain(Scheme.ACC, Scheme.MN)),
-                 started)
+                 elapsed)
             for value, estimate in zip(axis, shared)]
 
 

@@ -13,18 +13,19 @@ TDM), in bits/s/Hz.
 
 One estimator serves every scheme and every SNR of a (gain,
 users_per_group) shape. Each chunk of trials draws one array of standard
-exponentials E = -ln(1-u), laid out (users, trials, groups) and as wide as
-the widest requested scheme: TDM reads user 0 of group 0, MN user 0 of
-every group, ACC the whole array. Only ln(1 + rho E) and the reductions
-run once per SNR, so all schemes and SNRs share their draws.
+exponentials E = -ln(1-u), as wide as the widest requested scheme and
+laid out (blocks, users, trials, groups) in blocks of BLOCK_TRIALS trials:
+TDM reads user 0 of group 0, MN user 0 of every group, ACC the whole
+array. Only ln(1 + rho E) and the reductions run once per SNR, so all
+schemes and SNRs share their draws.
 
 Each metric is corrected by a control variate: the same metric on the
 linear-SNR scale, divided by rho (E of the lone user, the smallest E of the
 served users, the smallest group mean of E). Their exact means are the
 paper's low-SNR forms over rho: 1, 1/gain and psi(gain, users)/users. The
-coefficients come from a pilot chunk on substream 0, which no estimate
-chunk uses (chunk i draws from substream i + 1), so the estimates stay
-unbiased.
+coefficients come from a pilot chunk of about a thirty-second of the trials
+on substream 0, which no estimate chunk uses (chunk i draws from substream
+i + 1), so the estimates stay unbiased.
 
 Estimates are deterministic functions of (gain, users_per_group, widest
 requested scheme, rho, num_trials, base_seed): every chunk returns the
@@ -52,6 +53,10 @@ LN2 = math.log(2.0)
 #: Trials per substream chunk. Part of the estimator definition: trial i
 #: always lives at offset i % CHUNK of substream 1 + i // CHUNK.
 CHUNK_TRIALS = 8192
+
+#: Trials per block: a chunk draws whole blocks, so at most
+#: BLOCK_TRIALS - 1 trials are drawn beyond those used.
+BLOCK_TRIALS = 256
 
 #: Substream of the pilot chunk that fixes the control-variate coefficients.
 PILOT_SUBSTREAM = 0
@@ -142,12 +147,13 @@ def _scheme_columns(gain: int, users_per_group: int, schemes):
 
 def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
                   users: int) -> np.ndarray:
-    """Standard exponentials E = -ln(1-u) of the first `count` trials of one
-    substream chunk, laid out (users, trials, groups)."""
-    # the chunk is drawn whole, so that a trial's draws do not depend on how
-    # many of the chunk's trials are used
+    """Standard exponentials E = -ln(1-u) of one substream chunk, in the
+    whole blocks that hold its first `count` trials, laid out (blocks,
+    users, BLOCK_TRIALS, groups). The block axis is outermost, so a trial's
+    draws do not depend on how many trials the chunk holds."""
+    blocks = -(-count // BLOCK_TRIALS)
     e = substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)).random(
-        (users, CHUNK_TRIALS, groups))[:, :count]
+        (blocks, users, BLOCK_TRIALS, groups))
     # in place: fresh chunk-sized temporaries may go back to the OS after
     # every chunk and fault in again page by page on the next
     np.negative(e, out=e)
@@ -156,46 +162,50 @@ def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
     return e
 
 
-def _column_values(first, group_mean, columns):
-    """Per-trial value of each (groups, users) column, from user 0's
-    (trials, groups) values and, for the one multi-user column, the
-    callable group_mean(). Columns come sorted, so that one is last."""
+def _column_values(first, group_mean, columns, count):
+    """Per-trial value of each (groups, users) column for the first `count`
+    trials, from user 0's (blocks, BLOCK_TRIALS, groups) values and, for
+    the one multi-user column, the callable group_mean(). Columns come
+    sorted, so that one is last."""
+    def per_trial(blocked):
+        return blocked.reshape(-1)[:count]
     out = []
     for groups, users in columns:
         if users > 1:
-            out.append(group_mean().min(axis=1))
+            out.append(per_trial(group_mean().min(axis=-1)))
         elif groups == 1:
-            out.append(first[:, 0].copy())  # a view would keep `first` alive
+            # a copy: a view would keep `first` alive
+            out.append(per_trial(first[..., 0].copy()))
         else:
-            out.append(first.min(axis=1))
+            out.append(per_trial(first.min(axis=-1)))
     return out
 
 
-def _controls(e, columns):
+def _controls(e, columns, count):
     """Each column's metric on E instead of ln(1 + rho E)."""
     def group_mean():
-        total = e.sum(axis=0)
-        total /= e.shape[0]
+        total = e.sum(axis=1)
+        total /= e.shape[1]
         return total
-    return _column_values(e[0], group_mean, columns)
+    return _column_values(e[:, 0], group_mean, columns, count)
 
 
-def _log_metrics(e, rho, columns):
+def _log_metrics(e, rho, columns, count):
     """Each column's natural-log metric at SNR rho, one user at a time so
     that no second chunk-sized array is made."""
     def log1p_user(j):
-        values = np.multiply(e[j], rho)
+        values = np.multiply(e[:, j], rho)
         return np.log1p(values, out=values)
 
     first = log1p_user(0)
 
     def group_mean():
         total = first  # summed in place: the single-user columns have read it
-        for j in range(1, e.shape[0]):
+        for j in range(1, e.shape[1]):
             total += log1p_user(j)
-        total /= e.shape[0]
+        total /= e.shape[1]
         return total
-    return _column_values(first, group_mean, columns)
+    return _column_values(first, group_mean, columns, count)
 
 
 def _chunk_moments(args):
@@ -205,10 +215,10 @@ def _chunk_moments(args):
     e = _exponentials(base_seed, substream_index, count,
                       max(groups for groups, _ in columns),
                       max(users for _, users in columns))
-    controls = _controls(e, columns)
+    controls = _controls(e, columns, count)
     means, comoments = [], []
     for rho in rhos:
-        values = np.stack(_log_metrics(e, rho, columns) + controls)
+        values = np.stack(_log_metrics(e, rho, columns, count) + controls)
         mean = values.mean(axis=1)
         values -= mean[:, None]
         means.append(mean)
@@ -247,10 +257,24 @@ def _chunk_plan(num_trials):
             for chunk_index, start in enumerate(range(0, num_trials, CHUNK_TRIALS))]
 
 
+def _pilot_trials(num_trials):
+    """About a thirty-second of the trials, in whole blocks: at least one
+    block and at most one chunk."""
+    return min(CHUNK_TRIALS, BLOCK_TRIALS * max(1, num_trials // (32 * BLOCK_TRIALS)))
+
+
 def _control_mean(groups: int, users: int) -> float:
     """Exact mean of a column's control: psi(groups, users)/users, whose
     single-user value 1/groups is taken exactly."""
     return 1.0 / groups if users == 1 else analysis.psi(groups, users) / users
+
+
+def check_run(num_trials, base_seed):
+    """Raise ParameterError unless num_trials is an integer >= 100 and
+    base_seed a valid seed, as every Monte Carlo estimate requires."""
+    if not isinstance(num_trials, (int, np.integer)) or num_trials < 100:
+        raise ParameterError(f"num_trials must be an integer >= 100, got {num_trials}")
+    SeedSpec(base_seed=base_seed)
 
 
 def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials: int,
@@ -269,16 +293,14 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
         raise ParameterError("estimate at least one scheme at one SNR")
     for rho in rhos:
         SystemConfig.from_gain(gain, users_per_group, rho)  # validate the shape
-    if not isinstance(num_trials, (int, np.integer)) or num_trials < 100:
-        raise ParameterError(f"num_trials must be an integer >= 100, got {num_trials}")
-    SeedSpec(base_seed=base_seed)  # validate range
+    check_run(num_trials, base_seed)
     worker_count = _resolve_workers(workers)
 
     scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
     columns = sorted(set(scheme_columns.values()))
     index = {scheme: columns.index(column) for scheme, column in scheme_columns.items()}
     _, _, pilot_comoments = _chunk_moments(
-        (columns, rhos, base_seed, PILOT_SUBSTREAM, CHUNK_TRIALS))
+        (columns, rhos, base_seed, PILOT_SUBSTREAM, _pilot_trials(int(num_trials))))
     plan = [(columns, rhos, base_seed, index, count)
             for index, count in _chunk_plan(int(num_trials))]
     if worker_count == 1 or len(plan) == 1:
@@ -341,7 +363,7 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
         raise ParameterError("num_trials must be positive")
     column = _scheme_columns(config.nominal_gain, config.users_per_group, [scheme])[scheme]
     chunks = [_log_metrics(_exponentials(base_seed, index, count, *column),
-                           config.avg_snr, [column])[0]
+                           config.avg_snr, [column], count)[0]
               for index, count in _chunk_plan(int(num_trials))]
     return column[0] / LN2 * np.concatenate(chunks)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,63 @@ def test_a_point_does_not_depend_on_the_other_points_of_its_sweep():
     alone, among = sweep((5.0,)), sweep((-5.0, 5.0, 15.0))
     strip = [dataclasses.replace(row, wall_time_ms=None) for row in alone + among[3:6]]
     assert strip[:3] == strip[3:]
+
+
+def test_monte_carlo_rows_carry_only_their_own_shapes_estimation_time(monkeypatch):
+    # a slow closed form after each point and a slow second shape: the
+    # first shape's rows must hold neither
+    def slow_exact_mn(rho, users_per_group, gain):
+        time.sleep(0.2)
+        return 1.0, 1.0
+
+    def estimate(gain, users_per_group, *args, **kwargs):
+        if users_per_group == 3:
+            time.sleep(0.3)
+        return mc_average_rates(gain, users_per_group, *args, **kwargs)
+
+    monkeypatch.setitem(experiments.ANALYTICS, analysis.EXACT_MN, slow_exact_mn)
+    monkeypatch.setattr(experiments, "mc_average_rates", estimate)
+    rows = run_sweep(ExperimentSpec(axis_name="users_per_group", axis_values=(2, 3),
+                                    nominal_gain=2, schemes=("tdm", "acc"),
+                                    analytics=("exact-mn",), num_trials=200,
+                                    base_seed=5))
+    assert [row.scheme for row in rows] == ["tdm", "acc", "exact-mn"] * 2
+    first, second = rows[:2], rows[3:5]
+    # rows timed from their shape's start would read >= 300 ms and >= 500 ms
+    assert all(row.wall_time_ms < 200.0 for row in first), first
+    assert all(300.0 <= row.wall_time_ms < 500.0 for row in second), second
+    assert rows[2].wall_time_ms >= 200.0 and rows[5].wall_time_ms >= 200.0
+
+
+def test_a_failing_shape_makes_error_rows_and_spares_the_others(monkeypatch):
+    def estimate(gain, users_per_group, *args, **kwargs):
+        if users_per_group == 3:
+            raise NumericsError("psi missed its budget")
+        return mc_average_rates(gain, users_per_group, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "mc_average_rates", estimate)
+    rows = run_sweep(ExperimentSpec(axis_name="users_per_group", axis_values=(2, 3, 4),
+                                    nominal_gain=2, schemes=("tdm", "acc"),
+                                    analytics=("exact-mn",), num_trials=200,
+                                    base_seed=5))
+    errors = [row.error for row in rows]
+    failed = "NumericsError: psi missed its budget"
+    assert errors == [None, None, None, failed, failed, None, None, None, None]
+    assert rows[3].wall_time_ms is None and rows[5].rate_mean is not None
+
+
+@pytest.mark.parametrize("num_trials, base_seed", [(50, 1), (1000, -1)])
+def test_a_bad_trial_count_or_seed_fails_the_sweep(num_trials, base_seed):
+    spec = ExperimentSpec(axis_name="users_per_group", axis_values=(2, 3),
+                          nominal_gain=2, schemes=("acc",), analytics=("exact-mn",),
+                          num_trials=num_trials, base_seed=base_seed)
+    with pytest.raises(ParameterError):
+        run_sweep(spec)
+
+
+def test_a_negative_seed_is_a_parameter_error_in_figures_too(tmp_path):
+    with pytest.raises(ParameterError):
+        run_figure("fig10", str(tmp_path), num_trials=100, base_seed=-1)
 
 
 def test_registry_covers_every_analysis_method():

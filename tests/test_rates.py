@@ -1,14 +1,17 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from cachecast import rates
 from cachecast.analysis import exact_mn_rate, mn_gain_exact
 from cachecast.errors import NumericsError, ParameterError
 from cachecast.rates import (
+    BLOCK_TRIALS,
     CHUNK_TRIALS,
     RateEstimate,
     effective_gain,
@@ -142,16 +145,17 @@ def test_trial_rates_order_is_stable_across_chunks():
 def test_acc_trial_rates_match_the_out_of_place_formula():
     # the chunk metric is evaluated in place, one user at a time; it must
     # equal the textbook expression on the same Philox substream bit for
-    # bit. Chunk i draws a whole chunk, laid out (users, trials, groups), from
-    # substream i + 1
+    # bit. Chunk i draws whole blocks, laid out (blocks, users, trials,
+    # groups), from substream i + 1
     rho, gain, users, tail = 2.5, 3, 4, 500
     config = SystemConfig.from_gain(gain, users, avg_snr=rho)
     expected = []
     for chunk_index, count in enumerate((CHUNK_TRIALS, tail)):
+        blocks = -(-count // BLOCK_TRIALS)
         u = substream(SeedSpec(base_seed=17, trial_index=chunk_index + 1)).random(
-            (users, CHUNK_TRIALS, gain))[:, :count]
+            (blocks, users, BLOCK_TRIALS, gain))
         snr = -rho * np.log1p(-u)
-        expected.append(np.log1p(snr).mean(axis=0).min(axis=1))
+        expected.append(np.log1p(snr).mean(axis=1).min(axis=-1).reshape(-1)[:count])
     got = trial_rates(config, Scheme.ACC, CHUNK_TRIALS + tail, base_seed=17)
     np.testing.assert_array_equal(got, gain / LN2 * np.concatenate(expected))
 
@@ -305,6 +309,27 @@ def test_a_sweep_keeps_at_most_one_chunk_array_live():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
+
+
+@pytest.mark.parametrize("num_trials", [100, 2000, 10_000, 100_000])
+def test_draws_stay_within_a_block_of_the_trials_used(monkeypatch, num_trials):
+    # the pilot is about a thirty-second of the trials, in whole blocks,
+    # and every chunk draws only the blocks that hold its trials
+    drawn = []
+
+    def counting(seed):
+        def random(shape):  # (blocks, users, BLOCK_TRIALS, groups)
+            drawn.append(shape[0] * shape[2])
+            return substream(seed).random(shape)
+        return SimpleNamespace(random=random)
+
+    monkeypatch.setattr(rates, "substream", counting)
+    mc_average_rates(4, 3, [1.0], ("tdm", "acc"), num_trials, 9)
+    pilot = max(BLOCK_TRIALS, num_trials // 32 // BLOCK_TRIALS * BLOCK_TRIALS)
+    chunks = -(-num_trials // CHUNK_TRIALS)
+    assert drawn[0] == pilot
+    assert num_trials <= sum(drawn[1:]) < num_trials + BLOCK_TRIALS
+    assert len(drawn) == 1 + chunks
 
 
 def test_gain_error_counts_the_covariance():
