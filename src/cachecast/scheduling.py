@@ -3,9 +3,10 @@
 Implements the shared-cache placement (every user of a group stores the same
 segments), stage enumeration, and two delay models:
 
-* the aggregated multi-rate stage, simulated exactly under a fluid service
-  model where each served user decodes at its own point-to-point rate and
-  group members are served round-robin;
+* the aggregated multi-rate stage, where each served user decodes at its
+  own point-to-point rate and group members are served round-robin, so
+  every finish time is a running sum of segment size over rate and the
+  stage's event log follows in closed form;
 * the XOR multicast stage, whose duration is fixed by the worst served user.
 
 Groups, users, files and stage slots are all 0-indexed.
@@ -17,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -144,73 +145,64 @@ def needed_subfile(stage: Sequence[int], slot: int, demand: int) -> SubfileId:
     return SubfileId(file=int(demand), cache_subset=subset)
 
 
-def _stage_rates(stage, snr) -> np.ndarray:
+def _finish_times(stage, snr, subfile_size: float) -> list:
+    """Finish time of every served user, one list per stage slot.
+
+    A group serves its members one after another, each at its own rate
+    log2(1+SNR), so a slot's finish times are the running sums of
+    subfile_size / rate along its users.
+    """
+    if not (subfile_size > 0) or not math.isfinite(subfile_size):
+        raise ParameterError(f"subfile_size must be positive, got {subfile_size}")
     mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
     stage = tuple(int(g) for g in stage)
     if len(set(stage)) != len(stage):
         raise ParameterError(f"stage has repeated groups: {stage}")
     if not all(0 <= g < mat.shape[0] for g in stage):
         raise ParameterError(f"stage {stage} out of range for {mat.shape[0]} groups")
-    return np.log2(1.0 + mat[list(stage), :])
-
-
-def acc_stage_timeline(stage: Sequence[int], snr, subfile_size: float) -> DeliveryTimeline:
-    """Fluid-rate simulation of one aggregated stage.
-
-    At every instant the active user of each unfinished group accumulates
-    decoded data at its own rate log2(1+SNR); when it reaches subfile_size
-    the group's pointer advances and the next member starts. Simultaneous
-    finishes are processed in ascending group order, which does not affect
-    the completion time. Completion equals
-    max over groups of sum_b subfile_size / rate(g, b).
-    """
-    if not (subfile_size > 0) or not math.isfinite(subfile_size):
-        raise ParameterError(f"subfile_size must be positive, got {subfile_size}")
-    stage = tuple(int(g) for g in stage)
-    rates = _stage_rates(stage, snr)
+    rates = np.log2(1.0 + mat[list(stage), :])
     if np.any(rates <= 0.0):
         bad = [(stage[i], int(j)) for i, j in zip(*np.nonzero(rates <= 0.0))][:4]
         raise UnboundedDelayError(
             f"served users with zero rate never finish: (group, user) {bad}")
+    return [list(accumulate(subfile_size / rate for rate in row)) for row in rates.tolist()]
 
-    users_per_group = rates.shape[1]
-    pointer = [0] * len(stage)       # next user index per slot; == B means done
-    progress = [0.0] * len(stage)
-    active = list(range(len(stage)))  # slot indices, kept in ascending order
-    now = 0.0
+
+def acc_stage_timeline(stage: Sequence[int], snr, subfile_size: float) -> DeliveryTimeline:
+    """Event log of one aggregated stage, in closed form.
+
+    Each group of the stage serves its members in round-robin order at their
+    own rates log2(1+SNR), so the finish times of a slot are the running sums
+    of subfile_size / rate; the events are those times merged in time order.
+    Finishes within 1e-12 relative of a batch's first finish are
+    simultaneous: they share that time and are listed in ascending slot
+    order. Completion equals max over groups of sum_b subfile_size / rate(g, b).
+    """
+    stage = tuple(stage)
+    times = _finish_times(stage, snr, subfile_size)
+    groups = [int(g) for g in stage]
+    batched = []
+    first = -math.inf
+    for t, i, j in sorted((t, i, j) for i, row in enumerate(times) for j, t in enumerate(row)):
+        if t > first * (1.0 + 1e-12):
+            first = t
+        batched.append((first, i, j))
+    batched.sort()  # a batch's finishes now share its time, so they sort by slot
+    pointer = [0] * len(groups)      # next user index per slot; == B means done
     events = []
     history = [(0.0, tuple(pointer))]
-
-    while active:
-        remaining = [(subfile_size - progress[i]) / float(rates[i, pointer[i]])
-                     for i in active]
-        dt = min(remaining)
-        now += dt
-        finishers = [i for i, rem in zip(active, remaining)
-                     if rem <= dt * (1.0 + 1e-12)]
-        for i in active:
-            if i not in finishers:
-                progress[i] += dt * float(rates[i, pointer[i]])
-        for i in finishers:  # ascending slot order by construction
-            events.append(TimelineEvent(time=now, group=stage[i], user=pointer[i]))
-            pointer[i] += 1
-            progress[i] = 0.0
-            history.append((now, tuple(pointer)))
-        active = [i for i in active if pointer[i] < users_per_group]
-
-    return DeliveryTimeline(events=tuple(events), completion_time=now,
+    for t, i, j in batched:
+        events.append(TimelineEvent(t, groups[i], j))
+        pointer[i] = j + 1
+        history.append((t, tuple(pointer)))
+    return DeliveryTimeline(events=tuple(events),
+                            completion_time=events[-1].time if events else 0.0,
                             pointer_history=tuple(history))
 
 
 def acc_stage_completion_closed_form(stage, snr, subfile_size: float) -> float:
-    """Per-group serial service times summed, maximized over the stage.
-
-    Independent of the event simulation; used as its cross-check.
-    """
-    rates = _stage_rates(stage, snr)
-    if np.any(rates <= 0.0):
-        raise UnboundedDelayError("zero-rate user in stage")
-    return float(np.max(np.sum(subfile_size / rates, axis=1)))
+    """Per-group serial service times summed, maximized over the stage."""
+    return max(row[-1] for row in _finish_times(stage, snr, subfile_size))
 
 
 def mn_stage_delay(group_user_snrs: Sequence[float], xor_size: float) -> float:
@@ -218,11 +210,12 @@ def mn_stage_delay(group_user_snrs: Sequence[float], xor_size: float) -> float:
     snrs = np.asarray(group_user_snrs, dtype=float)
     if snrs.ndim != 1 or len(snrs) == 0:
         raise ParameterError("group_user_snrs must be a nonempty 1-D collection")
-    if np.any(snrs < 0) or not np.all(np.isfinite(snrs)):
+    # numpy's min and max propagate NaN, which then fails both comparisons
+    worst = float(snrs.min())
+    if not (worst >= 0.0 and snrs.max() < math.inf):
         raise ParameterError("SNRs must be finite and nonnegative")
     if not (xor_size > 0):
         raise ParameterError(f"xor_size must be positive, got {xor_size}")
-    worst = float(np.min(snrs))
     if worst == 0.0:
         raise UnboundedDelayError("the worst served user has zero SNR")
     return xor_size / math.log2(1.0 + worst)
@@ -260,7 +253,7 @@ def full_session_delay(config: SystemConfig, demands: Sequence[int],
                 f"aggregated session needs {len(stages)} realizations, "
                 f"got {len(snr_per_stage)}")
         return sum(
-            acc_stage_timeline(stage, snr, subfile_size).completion_time
+            acc_stage_completion_closed_form(stage, snr, subfile_size)
             for stage, snr in zip(stages, snr_per_stage))
 
     if scheme is Scheme.MN:

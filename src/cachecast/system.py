@@ -179,7 +179,8 @@ class SnrMatrix:
         arr = np.asarray(self.snr, dtype=float)
         if arr.ndim != 2:
             raise ParameterError(f"snr must be a 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        # numpy's min and max propagate NaN, which then fails both comparisons
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
             raise ParameterError("snr entries must be finite and nonnegative")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cachecast import analysis, cli, experiments
 from cachecast.cli import exit_code_for, main
@@ -441,6 +442,21 @@ def test_ks_checks_report_their_p_value():
         if check.name.endswith("-ks"):
             p = float(check.detail.rpartition("p=")[2])
             assert p == pytest.approx(stats.kstwo.sf(check.measured, 5_000), rel=1e-2)
+
+
+def test_ks_p_value_is_the_asymptotic_kolmogorov_law():
+    # gain 4, one user per group, seed 42: min-snr-ks fails at 100k trials
+    report = validate_system(SystemConfig.from_gain(4, 1, avg_snr=1.0), num_trials=100_000,
+                             base_seed=42)
+    ks_checks = [check for check in report.checks if check.name.endswith("-ks")]
+    assert len(ks_checks) == 2
+    for check in ks_checks:
+        p = special.kolmogorov(math.sqrt(100_000) * check.measured)
+        assert check.detail.endswith(f"p={p:.3g}")
+        # the limit is the Kolmogorov law's 1% point, so failing means p < 1%
+        assert check.passed == (p >= special.kolmogorov(1.628))
+    assert not all(check.passed for check in ks_checks)
+    assert special.kolmogorov(1.628) == pytest.approx(0.009976, abs=1e-6)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

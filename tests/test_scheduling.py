@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,72 @@ def test_subfile_id_normalizes_subset_order():
 
 # ---------------------------------------------------------------- stage timeline
 
+def fluid_event_loop(stage, snr, subfile_size):
+    """Reference timeline by fluid-rate simulation, independent of the closed
+    form: at every instant the active user of each unfinished group gains
+    decoded data at its own rate; when it reaches subfile_size the group's
+    pointer advances. Finishes within 1e-12 of the step are simultaneous and
+    processed in ascending slot order. Returns (events, pointer_history) as
+    lists of (time, group, user) and (time, pointers)."""
+    rates = np.log2(1.0 + snr.snr[list(stage), :])
+    users_per_group = rates.shape[1]
+    pointer = [0] * len(stage)
+    progress = [0.0] * len(stage)
+    active = list(range(len(stage)))
+    now = 0.0
+    events = []
+    history = [(0.0, tuple(pointer))]
+    while active:
+        remaining = [(subfile_size - progress[i]) / float(rates[i, pointer[i]])
+                     for i in active]
+        dt = min(remaining)
+        now += dt
+        finishers = [i for i, rem in zip(active, remaining) if rem <= dt * (1.0 + 1e-12)]
+        for i in active:
+            if i not in finishers:
+                progress[i] += dt * float(rates[i, pointer[i]])
+        for i in finishers:
+            events.append((now, stage[i], pointer[i]))
+            pointer[i] += 1
+            progress[i] = 0.0
+            history.append((now, tuple(pointer)))
+        active = [i for i in active if pointer[i] < users_per_group]
+    return events, history
+
+
+def assert_matches_fluid_event_loop(stage, snr, subfile_size):
+    timeline = acc_stage_timeline(stage, snr, subfile_size)
+    events, history = fluid_event_loop(stage, snr, subfile_size)
+    assert [(ev.group, ev.user) for ev in timeline.events] == [(g, b) for _, g, b in events]
+    assert [p for _, p in timeline.pointer_history] == [p for _, p in history]
+    times = [ev.time for ev in timeline.events] + [t for t, _ in timeline.pointer_history]
+    expected = [t for t, _, _ in events] + [t for t, _ in history]
+    assert times == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert timeline.completion_time == pytest.approx(events[-1][0], rel=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2 ** 31), st.booleans())
+def test_closed_form_timeline_matches_the_fluid_event_loop(gain, users, seed, tied_rows):
+    rng = np.random.default_rng(seed)
+    matrix = rng.exponential(1.0, size=(gain + 1, users)) + 1e-12
+    if tied_rows:
+        # groups drawn with repetition: equal rows finish at exactly equal times
+        matrix = matrix[rng.integers(0, gain + 1, size=gain + 1)]
+    stage = tuple(int(g) for g in rng.permutation(gain + 1)[:gain])
+    assert_matches_fluid_event_loop(stage, SnrMatrix(snr=matrix), float(rng.uniform(0.05, 2.0)))
+
+
+def test_worked_example_matches_the_fluid_event_loop():
+    assert_matches_fluid_event_loop(*example2_stage())
+
+
+def test_zero_rate_error_lists_the_group_user_pairs():
+    snr = SnrMatrix(snr=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(UnboundedDelayError, match=re.escape("[(1, 0), (1, 2), (0, 1), (0, 2)]")):
+        acc_stage_timeline((1, 2, 0), snr, 1.0)
+
+
 def test_worked_example_timeline():
     stage, snr, size = example2_stage()
     timeline = acc_stage_timeline(stage, snr, size)
@@ -269,6 +336,28 @@ def test_mn_delay_permutation_invariant(snrs, rnd):
 def test_mn_delay_zero_snr_raises():
     with pytest.raises(UnboundedDelayError):
         mn_stage_delay([1.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("snrs,xor_size", [
+    ([], 1.0),
+    ([[1.0, 2.0]], 1.0),
+    (2.0, 1.0),
+    ([1.0, float("nan")], 1.0),
+    ([1.0, float("inf")], 1.0),
+    ([float("-inf"), 1.0], 1.0),
+    ([1.0, -0.5], 1.0),
+    ([1.0, 2.0], 0.0),
+    ([1.0, 2.0], -1.0),
+    ([1.0, 0.0], 0.0),
+])
+def test_mn_delay_rejects_bad_input(snrs, xor_size):
+    with pytest.raises(ParameterError):
+        mn_stage_delay(snrs, xor_size)
+
+
+def test_mn_delay_accepts_arrays_and_numpy_scalars():
+    snrs = [np.float64(3.0), np.float64(1.0)]
+    assert mn_stage_delay(snrs, 1.0) == mn_stage_delay(np.array([3.0, 1.0]), 1.0) == 1.0
 
 
 # ---------------------------------------------------------------- full session

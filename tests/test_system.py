@@ -121,6 +121,25 @@ def test_snr_matrix_rejects_bad_entries():
         SnrMatrix(snr=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("snr", [
+    [[1.0, float("nan")]],
+    [[1.0, float("inf")]],
+    [[float("-inf"), 1.0]],
+    [[0.0, -1e-300]],
+    np.ones((2, 2, 2)),
+])
+def test_snr_matrix_rejects_nonfinite_negative_and_misshapen_input(snr):
+    with pytest.raises(ParameterError):
+        SnrMatrix(snr=np.array(snr))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 3)])
+def test_snr_matrix_accepts_zeros_and_empty_matrices(shape):
+    matrix = SnrMatrix(snr=np.zeros(shape))
+    assert matrix.snr.shape == shape
+    assert not matrix.snr.any()
+
+
 def test_sample_mean_obeys_the_law_of_large_numbers():
     config = SystemConfig.from_gain(1, 1, avg_snr=1.0)
     rng = substream(SeedSpec(base_seed=2024, trial_index=0))
