@@ -27,7 +27,6 @@ from .numerics import (
     exp_scaled_e1,
     gauss_hermite_rule,
     log_char_moment,
-    q_function,
     second_moment_log1p,
 )
 
@@ -236,10 +235,7 @@ def _h_integral(gain: int) -> float:
     peak = -math.sqrt(2.0 * math.log(max(gain, 2)))
 
     def integrand(y):
-        q = q_function(y)
-        if q <= 0.0:
-            return 0.0
-        return y * math.exp((gain - 1) * math.log(q) - 0.5 * y * y)
+        return y * math.exp((gain - 1) * special.log_ndtr(-y) - 0.5 * y * y)
 
     out = integrate.quad(integrand, -40.0, 40.0, points=[peak, 0.0],
                          epsabs=1e-13, epsrel=1e-12, limit=500, full_output=1)
@@ -311,7 +307,7 @@ def h_order_stat(gain: int, method: str = H_AUTO, ghq_order: int = 7) -> float:
 
 
 def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
-                     h_method: str = H_AUTO, ghq_order: int = 7) -> ApproxResult:
+                     h_method: str = H_AUTO) -> ApproxResult:
     """Normal approximation of the aggregated rate for many users per group:
     (gain/ln 2) (mu - sigma * H_gain / sqrt(users_per_group)),
     with mu and sigma the mean and standard deviation of ln(1+SNR).
@@ -324,7 +320,7 @@ def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
     gain = _check_positive_int(gain, "gain")
     mu = mean_log1p_snr(rho)
     sigma = std_log1p_snr(rho)
-    h = h_order_stat(gain, h_method, ghq_order)
+    h = h_order_stat(gain, h_method)
     value = gain / LN2 * (mu - sigma * h / math.sqrt(b))
     return ApproxResult(value=value, method=LARGE_B_NORMAL, rho=rho,
                         users_per_group=b, gain=gain)

@@ -6,9 +6,10 @@ Monte Carlo rows of points with the same (gain, users_per_group) shape
 come from one shared estimation, ``rates.mc_average_rates``.
 Closed forms come from one registry, ``ANALYTICS``, keyed by analysis
 method id, and every row of a sweep or figure is built by ``_row``, which
-turns a numeric failure into an error row. Output is byte-reproducible for
-a fixed spec and seed across runs and worker counts; wall-clock timing is
-therefore left out of the files unless explicitly requested.
+turns a numeric failure into an error row. Rows hold results only, so
+output is byte-reproducible for a fixed spec and seed across runs and worker
+counts; the time of each shared estimation and closed-form row goes to the
+``cachecast`` logger at INFO level instead.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import os
 import tempfile
@@ -31,7 +33,6 @@ from . import analysis
 from .errors import CachecastError, ParameterError
 from .rates import check_run, mc_average_rate, mc_average_rates, trial_rates
 from .scheduling import (
-    acc_stage_completion_closed_form,
     acc_stage_timeline,
     enumerate_stages,
     needed_subfile,
@@ -49,6 +50,8 @@ from .system import (
 )
 
 AXIS_NAMES = ("rho_db", "users_per_group", "nominal_gain")
+
+log = logging.getLogger(__name__)
 
 
 def _over_tdm(rate):
@@ -93,14 +96,12 @@ class ExperimentSpec:
     nominal_gain: int = 4
     users_per_group: int = 4
     rho_db: float = 0.0
-    library_size: int | None = None
     schemes: tuple = ()
     analytics: tuple = ()
     num_trials: int = 100_000
     base_seed: int = 42
     out_path: str | None = None
     out_format: str = "csv"
-    include_timing: bool = False
 
     def __post_init__(self):
         if self.axis_name not in AXIS_NAMES:
@@ -147,7 +148,6 @@ class ResultRow:
     gain: float | None = None
     gain_stderr: float | None = None
     trials: int | None = None
-    wall_time_ms: float | None = None
     error: str | None = None
 
 
@@ -201,19 +201,15 @@ def _derived_seed(base_seed: int, point_index: int, kind: str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _row(swept, scheme, compute, shared_s=0.0):
+def _row(swept, scheme, compute):
     """One output row from compute(), which returns the row's other cells.
-    A CachecastError becomes an error row instead of aborting the sweep;
-    any other row carries the time of compute() plus `shared_s`, that of
-    the shared work the row reads."""
-    started = time.perf_counter()
+    A CachecastError becomes an error row instead of aborting the sweep."""
     try:
         cells = compute()
     except CachecastError as exc:
         return ResultRow(swept=float(swept), scheme=scheme,
                          error=f"{type(exc).__name__}: {exc}")
-    return ResultRow(swept=float(swept), scheme=scheme,
-                     wall_time_ms=1e3 * (shared_s + time.perf_counter() - started), **cells)
+    return ResultRow(swept=float(swept), scheme=scheme, **cells)
 
 
 def _mc_seed(base_seed: int, gain: int, users_per_group: int) -> int:
@@ -222,18 +218,17 @@ def _mc_seed(base_seed: int, gain: int, users_per_group: int) -> int:
 
 
 def _mc_estimates(spec):
-    """Shared Monte Carlo estimate of every point, by point index, with the
-    time in seconds its shape's estimation took. Points with the same
-    (gain, users_per_group) shape are one estimation: one draw per chunk
-    serves all their SNRs and every scheme, TDM always included as the gain
-    reference. A bad trial count or seed fails the sweep; any other
-    CachecastError stands in for the estimate of its shape's points, whose
-    rows become error rows."""
+    """Shared Monte Carlo estimate of every point, by point index. Points
+    with the same (gain, users_per_group) shape are one estimation, logged
+    with its time: one draw per chunk serves all their SNRs and every
+    scheme, TDM always included as the gain reference. A bad trial count or
+    seed fails the sweep; any other CachecastError stands in for the
+    estimate of its shape's points, whose rows become error rows."""
     shapes = {}
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
         # built even without schemes: an impossible topology fails the sweep
-        SystemConfig.from_gain(gain, users_per_group, rho, library_size=spec.library_size)
+        SystemConfig.from_gain(gain, users_per_group, rho)
         shapes.setdefault((gain, users_per_group), []).append((index, rho))
     if not spec.schemes:
         return {}
@@ -248,29 +243,35 @@ def _mc_estimates(spec):
                                       _mc_seed(spec.base_seed, gain, users_per_group))
         except CachecastError as exc:
             shared = [exc] * len(points)
-        elapsed = time.perf_counter() - started
-        estimates.update((index, (estimate, elapsed))
-                         for (index, _), estimate in zip(points, shared))
+        log.info("shared estimation gain=%d users_per_group=%d: %d SNRs, %d trials, %.6f s",
+                 gain, users_per_group, len(points), spec.num_trials,
+                 time.perf_counter() - started)
+        estimates.update((index, estimate) for (index, _), estimate in zip(points, shared))
     return estimates
 
 
-def _gain_cells(gain):
+def _gain_cells(shared, scheme, reference=Scheme.TDM):
+    if isinstance(shared, CachecastError):
+        raise shared
+    gain = shared.gain(scheme, reference)
     return {"gain": gain.value, "gain_stderr": gain.std_err,
             "trials": gain.numerator.num_trials}
 
 
 def _mc_cells(shared, scheme):
-    if isinstance(shared, CachecastError):
-        raise shared
+    cells = _gain_cells(shared, scheme)  # first: it raises a failed shape's error
     rate = shared.rates[scheme]
-    return {"rate_mean": rate.mean, "rate_stderr": rate.std_err,
-            **_gain_cells(shared.gain(scheme))}
+    return {"rate_mean": rate.mean, "rate_stderr": rate.std_err, **cells}
 
 
 def _closed_form_row(swept, scheme, closed_form, rho, users_per_group, gain):
-    """Row of one closed form shaped like the ANALYTICS entries."""
-    return _row(swept, scheme, lambda: dict(
+    """Row of one closed form shaped like the ANALYTICS entries, logged with
+    its time."""
+    started = time.perf_counter()
+    row = _row(swept, scheme, lambda: dict(
         zip(("rate_mean", "gain"), closed_form(rho, users_per_group, gain))))
+    log.info("closed form %s at %s: %.6f s", scheme, row.swept, time.perf_counter() - started)
+    return row
 
 
 def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
@@ -282,25 +283,15 @@ def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
         if index in estimates:
-            shared, elapsed = estimates[index]
             rows += [_row(value, scheme.value + label_suffix,
-                          lambda scheme=scheme: _mc_cells(shared, scheme), elapsed)
+                          lambda shared=estimates[index], scheme=scheme: _mc_cells(shared, scheme))
                      for scheme in spec.schemes]
         rows += [_closed_form_row(value, method + label_suffix, ANALYTICS[method],
                                   rho, users_per_group, gain)
                  for method in spec.analytics]
     if spec.out_path:
-        write_rows(rows, spec.out_path, spec.out_format, spec.include_timing)
+        write_rows(rows, spec.out_path, spec.out_format)
     return rows
-
-
-def _record(row: ResultRow, include_timing: bool) -> dict:
-    """The row's fields in CSV_HEADER order; timing is rounded, or dropped
-    unless asked for, since it differs between reruns."""
-    record = asdict(row)
-    timing = row.wall_time_ms if include_timing else None
-    record["wall_time_ms"] = None if timing is None else round(timing, 3)
-    return record
 
 
 def _atomic_write(path: str, text: str):
@@ -317,8 +308,8 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def write_rows(rows, path: str, out_format: str = "csv", include_timing: bool = False):
-    records = [_record(row, include_timing) for row in rows]
+def write_rows(rows, path: str, out_format: str = "csv"):
+    records = [asdict(row) for row in rows]
     if out_format == "csv":
         # None is written as an empty cell, floats as repr; only cells with a
         # comma or quote (error messages) are quoted
@@ -430,17 +421,14 @@ def _fig8(trials, seed):
 
 def _mc_ratio_rows(axis, gain, users_per_group, trials, seed, label):
     """Monte Carlo ACC-over-MN rate ratio at every SNR of the axis, from the
-    draws a sweep of both schemes shares, so the ratio's error counts their
-    covariance."""
-    started = time.perf_counter()
-    shared = mc_average_rates(gain, users_per_group, [snr_from_db(v) for v in axis],
-                              (Scheme.ACC, Scheme.MN), trials,
-                              _mc_seed(seed, gain, users_per_group))
-    elapsed = time.perf_counter() - started
+    estimates of the sweep of both schemes, so the ratio's error counts
+    their covariance."""
+    spec = ExperimentSpec("rho_db", axis, nominal_gain=gain, users_per_group=users_per_group,
+                          schemes=("acc", "mn"), num_trials=trials, base_seed=seed)
+    estimates = _mc_estimates(spec)
     return [_row(value, f"mc-ratio[{label}]",
-                 lambda estimate=estimate: _gain_cells(estimate.gain(Scheme.ACC, Scheme.MN)),
-                 elapsed)
-            for value, estimate in zip(axis, shared)]
+                 lambda shared=estimates[index]: _gain_cells(shared, Scheme.ACC, Scheme.MN))
+            for index, value in enumerate(spec.axis_values)]
 
 
 def _large_b_ghq_over_mn(rho, users_per_group, gain):
@@ -602,7 +590,9 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
     for trial in range(200):
         snr = sample_snr(config, SeedSpec(base_seed=base_seed, trial_index=trial + 1))
         timeline = acc_stage_timeline(stage, snr, 1.0)
-        closed = acc_stage_completion_closed_form(stage, snr, 1.0)
+        # each group serves its members one after another, so the stage
+        # ends when the slowest group has sent every member's subfile
+        closed = float(np.max(np.sum(1.0 / np.log2(1.0 + snr.snr[list(stage)]), axis=1)))
         worst_completion = max(worst_completion,
                                abs(timeline.completion_time - closed) / closed)
         finish = {}

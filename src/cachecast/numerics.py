@@ -109,8 +109,8 @@ def exp_int_ei(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def q_function(y: float) -> float:
-    """Tail probability Q(y) = P(N(0,1) > y) = erfc(y/sqrt(2))/2."""
-    return 0.5 * math.erfc(float(y) / math.sqrt(2.0))
+    """Tail probability Q(y) = P(N(0,1) > y) = Phi(-y)."""
+    return float(special.ndtr(-float(y)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import csv
-import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -148,13 +148,19 @@ def test_a_point_does_not_depend_on_the_other_points_of_its_sweep():
                                         schemes=("tdm", "mn", "acc"), num_trials=1000,
                                         base_seed=17))
     alone, among = sweep((5.0,)), sweep((-5.0, 5.0, 15.0))
-    strip = [dataclasses.replace(row, wall_time_ms=None) for row in alone + among[3:6]]
-    assert strip[:3] == strip[3:]
+    assert alone == among[3:6]
 
 
-def test_monte_carlo_rows_carry_only_their_own_shapes_estimation_time(monkeypatch):
+def _timing_records(caplog):
+    """(kind, args) of every timing record: kind is "shared" for a shared
+    estimation and "closed" for a closed-form row; the time is args[-1]."""
+    return [(record.msg.split()[0], record.args) for record in caplog.records
+            if record.name == "cachecast.experiments"]
+
+
+def test_a_shapes_logged_time_excludes_other_shapes_and_closed_forms(monkeypatch, caplog):
     # a slow closed form after each point and a slow second shape: the
-    # first shape's rows must hold neither
+    # first shape's logged time must hold neither
     def slow_exact_mn(rho, users_per_group, gain):
         time.sleep(0.2)
         return 1.0, 1.0
@@ -166,16 +172,21 @@ def test_monte_carlo_rows_carry_only_their_own_shapes_estimation_time(monkeypatc
 
     monkeypatch.setitem(experiments.ANALYTICS, analysis.EXACT_MN, slow_exact_mn)
     monkeypatch.setattr(experiments, "mc_average_rates", estimate)
+    caplog.set_level(logging.INFO, logger="cachecast")
     rows = run_sweep(ExperimentSpec(axis_name="users_per_group", axis_values=(2, 3),
                                     nominal_gain=2, schemes=("tdm", "acc"),
                                     analytics=("exact-mn",), num_trials=200,
                                     base_seed=5))
     assert [row.scheme for row in rows] == ["tdm", "acc", "exact-mn"] * 2
-    first, second = rows[:2], rows[3:5]
-    # rows timed from their shape's start would read >= 300 ms and >= 500 ms
-    assert all(row.wall_time_ms < 200.0 for row in first), first
-    assert all(300.0 <= row.wall_time_ms < 500.0 for row in second), second
-    assert rows[2].wall_time_ms >= 200.0 and rows[5].wall_time_ms >= 200.0
+    records = _timing_records(caplog)
+    assert [(kind, args[:-1]) for kind, args in records] == [
+        ("shared", (2, 2, 1, 200)), ("shared", (2, 3, 1, 200)),
+        ("closed", ("exact-mn", 2.0)), ("closed", ("exact-mn", 3.0))]
+    # a time that held the other shape or the closed forms would read >= 0.2 s
+    # for the first shape and >= 0.5 s for the second
+    first, second, *closed = [args[-1] for _, args in records]
+    assert first < 0.2 and 0.3 <= second < 0.5
+    assert all(seconds >= 0.2 for seconds in closed)
 
 
 def test_a_failing_shape_makes_error_rows_and_spares_the_others(monkeypatch):
@@ -192,7 +203,7 @@ def test_a_failing_shape_makes_error_rows_and_spares_the_others(monkeypatch):
     errors = [row.error for row in rows]
     failed = "NumericsError: psi missed its budget"
     assert errors == [None, None, None, failed, failed, None, None, None, None]
-    assert rows[3].wall_time_ms is None and rows[5].rate_mean is not None
+    assert rows[3].rate_mean is None and rows[5].rate_mean is not None
 
 
 @pytest.mark.parametrize("num_trials, base_seed", [(50, 1), (1000, -1)])
@@ -224,8 +235,7 @@ def test_csv_header_is_stable(tmp_path):
     run_sweep(spec)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert lines[0] == ("swept,scheme,rate_mean,rate_stderr,gain,gain_stderr,"
-                        "trials,wall_time_ms,error")
+    assert lines[0] == "swept,scheme,rate_mean,rate_stderr,gain,gain_stderr,trials,error"
     assert len(lines) == 2
 
 
@@ -250,7 +260,7 @@ def test_json_output_round_trips(tmp_path):
     loaded = json.loads(path.read_text())
     assert len(loaded) == len(rows) == 2
     assert loaded[0]["scheme"] == "tdm"
-    assert loaded[0]["wall_time_ms"] is None  # timing suppressed by default
+    assert sorted(loaded[0]) == sorted(CSV_HEADER.split(","))
     assert loaded[1]["gain"] == pytest.approx(rows[1].gain)
 
 
@@ -265,16 +275,15 @@ def _csv_records(path):
     return header, [dict(zip(header, line)) for line in lines]
 
 
-@pytest.mark.parametrize("include_timing", [False, True])
-def test_csv_and_json_agree_cell_for_cell(tmp_path, include_timing):
+def test_csv_and_json_agree_cell_for_cell(tmp_path):
     # users_per_group=1 makes the large-B form fail, so one row is an error row
     spec = ExperimentSpec(axis_name="users_per_group", axis_values=(1, 2),
                           nominal_gain=3, schemes=("tdm", "acc"), analytics=("large-b",),
                           num_trials=200, base_seed=8)
     rows = run_sweep(spec)
     assert sum(row.error is not None for row in rows) == 1
-    write_rows(rows, str(tmp_path / "out.csv"), "csv", include_timing)
-    write_rows(rows, str(tmp_path / "out.json"), "json", include_timing)
+    write_rows(rows, str(tmp_path / "out.csv"), "csv")
+    write_rows(rows, str(tmp_path / "out.json"), "json")
     header, table = _csv_records(tmp_path / "out.csv")
     records = json.loads((tmp_path / "out.json").read_text())
     assert header == CSV_HEADER.split(",")
@@ -286,18 +295,25 @@ def test_csv_and_json_agree_cell_for_cell(tmp_path, include_timing):
                 assert line[key] == "", key
             else:
                 assert type(value)(line[key]) == value, key
-        timed = include_timing and record["error"] is None
-        assert (record["wall_time_ms"] is not None) == timed
 
 
-def test_timing_column_is_opt_in(tmp_path):
-    path = tmp_path / "timed.csv"
-    spec = ExperimentSpec(axis_name="rho_db", axis_values=(0.0,),
-                          schemes=("tdm",), num_trials=100, base_seed=3,
-                          out_path=str(path), include_timing=True)
-    run_sweep(spec)
-    row = _csv_rows(path)[1]
-    assert row[7] != ""
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_verbose_sweep_writes_the_same_bytes_and_logs_timings(tmp_path, capsys, out_format):
+    # b=1 makes the large-B form fail, so the output holds an error row
+    argv = ["sweep", "--axis", "b=1,2,4", "--gain", "4", "--schemes", "tdm,acc,mn",
+            "--analytics", "large-b,exact-mn,low-snr-acc", "--trials", "2000",
+            "--format", out_format]
+    quiet, verbose = tmp_path / f"quiet.{out_format}", tmp_path / f"verbose.{out_format}"
+    assert main(argv + ["--out", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["-v"] + argv + ["--out", str(verbose)]) == 0
+    logged = capsys.readouterr().err.splitlines()
+    assert quiet.read_bytes() == verbose.read_bytes()
+    assert "ParameterError" in quiet.read_text()
+    # one record per shape's shared estimation and one per closed-form row
+    assert [line.split()[:2] for line in logged] == (
+        [["shared", "estimation"]] * 3 + [["closed", "form"]] * 9)
+    assert all(line.endswith(" s") for line in logged)
 
 
 # ---------------------------------------------------------------- figure presets
@@ -352,6 +368,22 @@ def test_fig10_ratio_rows_divide_the_sweep_rates(tmp_path):
     # the ratio's error comes from the covariance of the shared draws
     assert all(float(line["gain_stderr"]) > 0.0 for line in table
                if line["scheme"].startswith("mc-ratio"))
+
+
+def test_fig10_failing_shape_makes_error_rows(monkeypatch):
+    def estimate(gain, users_per_group, *args, **kwargs):
+        if users_per_group == 8:
+            raise NumericsError("psi missed its budget")
+        return mc_average_rates(gain, users_per_group, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "mc_average_rates", estimate)
+    rows = FIGURE_PRESETS["fig10"](100, 6)
+    errors = {row.scheme: set() for row in rows}
+    for row in rows:
+        errors[row.scheme].add(row.error)
+    assert errors == {"mc-ratio[b=2]": {None}, "mc-ratio[b=8]": {"NumericsError: psi missed its budget"},
+                      "mc-ratio[b=32]": {None}, "large-b-ratio-limit": {None}}
+    assert all(row.gain is None for row in rows if row.error is not None)
 
 
 def test_fig8_rows_evaluate_large_b_under_each_h_method():
@@ -551,6 +583,14 @@ def test_cli_sweep_accepts_config_file_with_flag_overrides(tmp_path):
     assert result.returncode == 0, result.stderr
     assert override.exists()
     assert not (tmp_path / "from_config.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["timing", "library_size"])
+def test_cli_config_rejects_fields_sweeps_do_not_use(tmp_path, capsys, key):
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps({"axis": "rho_db=0", "schemes": ["tdm"], key: 1}))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    assert f"unknown config field {key!r}" in capsys.readouterr().err
 
 
 def test_cli_parameter_error_exit_code(tmp_path):
