@@ -11,6 +11,9 @@ error, 3 numeric error. The CACHECAST_WORKERS environment variable sets
 the Monte Carlo worker count; results are identical for any value. A
 top-level ``-v`` logs the time of every shared Monte Carlo estimation and
 closed-form row to stderr; output files are the same with or without it.
+Every output goes through ``experiments.write_text``: to the ``--out`` path
+atomically, creating its directory, or to stdout where ``--out`` is optional
+(``sweep``, ``validate``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .experiments import (
     run_sweep,
     timeline_for,
     validate_system,
+    write_rows,
+    write_text,
 )
 from .system import SeedSpec, SystemConfig, snr_from_db
 
@@ -51,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--analytics", help="comma list, e.g. exact-mn,large-b")
     sweep.add_argument("--trials", type=int)
     sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--out", help="output file path")
+    sweep.add_argument("--out", help="output file path (default: stdout)")
     sweep.add_argument("--format", choices=("csv", "json"))
     sweep.add_argument("--config", help="JSON file with spec fields; flags override")
 
@@ -85,10 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SPEC_FIELDS = {
+#: config keys and flags -> ExperimentSpec fields; "out" and "format" go to
+#: the writer, not the spec
+_SWEEP_KEYS = {
     "axis": "axis", "gain": "nominal_gain", "users_per_group": "users_per_group",
     "rho_db": "rho_db", "schemes": "schemes", "analytics": "analytics",
-    "trials": "num_trials", "seed": "base_seed", "out": "out_path", "format": "out_format",
+    "trials": "num_trials", "seed": "base_seed", "out": "out", "format": "format",
 }
 
 
@@ -98,9 +105,9 @@ def _split_list(value):
     return tuple(part.strip() for part in str(value).split(",") if part.strip())
 
 
-def _sweep_spec(args) -> ExperimentSpec:
-    """Config-file fields overridden by flags; anything unset or null keeps
-    the ExperimentSpec default."""
+def _sweep_spec(args):
+    """(spec, output path, format) from config-file keys overridden by flags;
+    anything unset or null keeps its default: ExperimentSpec's, stdout, CSV."""
     settings = {}
     if args.config:
         try:
@@ -111,15 +118,18 @@ def _sweep_spec(args) -> ExperimentSpec:
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if key not in _SPEC_FIELDS:
+            if key not in _SWEEP_KEYS:
                 raise ParameterError(f"unknown config field {key!r}")
             if value is not None:
-                settings[_SPEC_FIELDS[key]] = value
-    for flag, field_name in _SPEC_FIELDS.items():
+                settings[_SWEEP_KEYS[key]] = value
+    for flag, field_name in _SWEEP_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
             settings[field_name] = value
 
+    out, out_format = settings.pop("out", None), settings.pop("format", "csv")
+    if out_format not in ("csv", "json"):
+        raise ParameterError(f"format must be csv or json, got {out_format!r}")
     axis = settings.pop("axis", None)
     if axis is None:
         raise ParameterError("a sweep axis is required (--axis or config file)")
@@ -127,16 +137,13 @@ def _sweep_spec(args) -> ExperimentSpec:
     for key in ("schemes", "analytics"):
         if key in settings:
             settings[key] = _split_list(settings[key])
-    return ExperimentSpec(axis_name=axis_name, axis_values=axis_values, **settings)
+    spec = ExperimentSpec(axis_name=axis_name, axis_values=axis_values, **settings)
+    return spec, out, out_format
 
 
 def _cmd_sweep(args) -> int:
-    spec = _sweep_spec(args)
-    rows = run_sweep(spec)
-    if not spec.out_path:
-        for row in rows:
-            print(f"{row.swept}\t{row.scheme}\trate={row.rate_mean}\t"
-                  f"gain={row.gain}\t{row.error or ''}")
+    spec, out, out_format = _sweep_spec(args)
+    write_rows(run_sweep(spec), out, out_format)
     return 0
 
 
@@ -154,12 +161,7 @@ def _cmd_validate(args) -> int:
                                     num_cache_states=args.cache_states)
     report = validate_system(config, num_trials=args.trials,
                              base_seed=args.seed, tol_scale=args.tol_scale)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     return 0 if report.passed else 1
 
 
@@ -171,7 +173,7 @@ def _cmd_timeline(args) -> int:
                                         snr_from_db(args.rho_db))
         timeline = timeline_for(config=config, seed=SeedSpec(base_seed=args.seed),
                                 subfile_size=args.subfile_size)
-    timeline.write_jsonl(args.out)
+    write_text("\n".join(timeline.jsonl_lines()) + "\n", args.out)
     print(args.out)
     return 0
 

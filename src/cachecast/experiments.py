@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import sys
 import tempfile
 import time
 import zlib
@@ -100,8 +101,6 @@ class ExperimentSpec:
     analytics: tuple = ()
     num_trials: int = 100_000
     base_seed: int = 42
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.axis_name not in AXIS_NAMES:
@@ -127,8 +126,6 @@ class ExperimentSpec:
         object.__setattr__(self, "analytics", tuple(normalized))
         if not self.schemes and not self.analytics:
             raise ParameterError("select at least one scheme or analytic")
-        if self.out_format not in ("csv", "json"):
-            raise ParameterError(f"out_format must be csv or json, got {self.out_format!r}")
 
     def point(self, value):
         """Fixed parameters at one swept value: (rho, users_per_group, gain)."""
@@ -275,9 +272,8 @@ def _closed_form_row(swept, scheme, closed_form, rho, users_per_group, gain):
 
 
 def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
-    """Evaluate the sweep and, when the spec names an output path, write it
-    atomically. Per-point numeric failures land in the row's error column
-    without aborting the sweep."""
+    """Evaluate the sweep into rows. Per-point numeric failures land in the
+    row's error column without aborting the sweep."""
     estimates = _mc_estimates(spec)
     rows = []
     for index, value in enumerate(spec.axis_values):
@@ -289,15 +285,19 @@ def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
         rows += [_closed_form_row(value, method + label_suffix, ANALYTICS[method],
                                   rho, users_per_group, gain)
                  for method in spec.analytics]
-    if spec.out_path:
-        write_rows(rows, spec.out_path, spec.out_format)
     return rows
 
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def write_text(text: str, path: str | None):
+    """The one writer of every command's output: to stdout when there is no
+    path, otherwise atomically (a temporary file in the same directory,
+    then os.replace), creating the directory first."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-sweep-")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-cachecast-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -308,7 +308,8 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def write_rows(rows, path: str, out_format: str = "csv"):
+def write_rows(rows, path: str | None, out_format: str = "csv"):
+    """Rows as CSV or JSON, through write_text (stdout when path is None)."""
     records = [asdict(row) for row in rows]
     if out_format == "csv":
         # None is written as an empty cell, floats as repr; only cells with a
@@ -317,9 +318,9 @@ def write_rows(rows, path: str, out_format: str = "csv"):
         writer = csv.writer(text, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         writer.writerows(record.values() for record in records)
-        _atomic_write(path, text.getvalue())
+        write_text(text.getvalue(), path)
     elif out_format == "json":
-        _atomic_write(path, json.dumps(records, indent=2, sort_keys=True) + "\n")
+        write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", path)
     else:
         raise ParameterError(f"unknown output format {out_format!r}")
 
@@ -479,7 +480,6 @@ def run_figure(name: str, out_dir: str, num_trials: int = 100_000,
         raise ParameterError(
             f"unknown figure preset {name!r}; expected one of {sorted(FIGURE_PRESETS)}")
     rows = FIGURE_PRESETS[name](num_trials, base_seed)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.csv")
     write_rows(rows, path, "csv")
     return path
@@ -680,11 +680,10 @@ def example2_stage():
     return (0, 1, 2), SnrMatrix(snr=2.0 ** rates - 1.0), 1.0
 
 
-def timeline_for(config: SystemConfig | None = None, stage=None,
-                 seed: SeedSpec | None = None, subfile_size: float = 1.0,
-                 preset: str | None = None):
+def timeline_for(config: SystemConfig | None = None, seed: SeedSpec | None = None,
+                 subfile_size: float = 1.0, preset: str | None = None):
     """Build a stage timeline either from the example preset or from a
-    sampled realization of the given config."""
+    sampled realization of the given config, serving groups 0..gain-1."""
     if preset is not None:
         if preset != "example2":
             raise ParameterError(f"unknown timeline preset {preset!r}")
@@ -692,7 +691,5 @@ def timeline_for(config: SystemConfig | None = None, stage=None,
         return acc_stage_timeline(stage, snr, size)
     if config is None or seed is None:
         raise ParameterError("timeline needs either a preset or (config, seed)")
-    if stage is None:
-        stage = tuple(range(config.nominal_gain))
     snr = sample_snr(config, seed)
-    return acc_stage_timeline(stage, snr, subfile_size)
+    return acc_stage_timeline(tuple(range(config.nominal_gain)), snr, subfile_size)

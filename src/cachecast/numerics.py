@@ -30,15 +30,15 @@ _E1_CF_CROSSOVER = 10.0
 _MAX_GH_ORDER = 64
 
 
-def _checked_quad(func, a, b, *, weight=None, wvar=None, abs_tol=QUAD_ABS_TOL,
-                  rel_tol=1e-11, limit=300, what="integral"):
+def _checked_quad(func, a, b, *, weight=None, wvar=None, points=None,
+                  abs_tol=QUAD_ABS_TOL, rel_tol=1e-11, limit=300, what="integral"):
     """scipy.integrate.quad with an explicit error budget.
 
     Returns the value; raises NumericsError when QUADPACK reports trouble
     and the achieved residual exceeds the budget by a wide margin.
     """
-    out = integrate.quad(func, a, b, weight=weight, wvar=wvar, epsabs=abs_tol,
-                         epsrel=rel_tol, limit=limit, full_output=1)
+    out = integrate.quad(func, a, b, weight=weight, wvar=wvar, points=points,
+                         epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 and abserr > 100.0 * max(abs_tol, rel_tol * abs(value)):
         raise NumericsError(

@@ -78,11 +78,6 @@ class DeliveryTimeline:
             yield json.dumps({"t": ev.time, "group": ev.group, "user": ev.user})
         yield json.dumps({"completion_time": self.completion_time})
 
-    def write_jsonl(self, path):
-        with open(path, "w") as fh:
-            for line in self.jsonl_lines():
-                fh.write(line + "\n")
-
 
 def assign_groups(config: SystemConfig) -> dict:
     """Fixed block assignment of users to (group, position).

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from cachecast import analysis
 from cachecast.analysis import (
@@ -355,8 +355,9 @@ def test_h_monotone_in_gain():
 
 
 def test_h_default_method_switches_at_the_table_boundary():
-    assert h_order_stat(4) == h_order_stat(4, "table")
-    assert h_order_stat(9) == h_order_stat(9, "ghq", ghq_order=7)
+    assert h_order_stat(5) == h_order_stat(5, "table")
+    assert h_order_stat(6) == h_order_stat(6, "integral")
+    assert h_order_stat(9) == h_order_stat(9, "integral")
 
 
 def test_h_bounds_hold_for_moderate_gains():
@@ -392,8 +393,9 @@ def test_large_b_rate_monotone_in_group_size():
 
 @pytest.mark.parametrize("gain", [10, 20])
 def test_large_b_default_h_matches_the_integral(gain):
-    # the default H path (order-7 GHQ past the table) moves the rate by at
-    # most gain/ln2 * sigma/sqrt(b) * |dH|; hold |dH| to 1e-3
+    # past the table the default H is the integral itself; an error dH in H
+    # moves the rate by gain/ln2 * sigma/sqrt(b) * |dH|, held to |dH| <= 1e-3
+    # should the default ever change
     rho, b = 1.0, 6
     tol = gain / LN2 * std_log1p_snr(rho) / math.sqrt(b) * 1e-3
     auto = acc_rate_large_b(rho, b, gain, h_method="auto").value
@@ -430,6 +432,45 @@ def test_capacity_sum_cdf_is_a_cdf():
     assert values[0] < 1e-3
     assert values[-1] > 1.0 - 1e-6
     assert capacity_sum_cdf(0.0, 1.0, 2) == 0.0
+
+
+def log1p_snr_sum_cdf_two_users(y, rho):
+    """P(X1 + X2 <= y), X = ln(1+SNR) with SNR ~ Exp(mean rho), by the direct
+    convolution of X's density f(u) = e^u exp(-(e^u-1)/rho)/rho with its CDF
+    F(v) = 1 - exp(-(e^v-1)/rho) over [0, y]."""
+    def integrand(u):
+        return (math.exp(u - math.expm1(u) / rho) / rho
+                * -math.expm1(-math.expm1(y - u) / rho))
+
+    return integrate.quad(integrand, 0.0, y, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+
+def log1p_snr_sum_chernoff_bound(y, rho, users_per_group):
+    """Lower-tail Chernoff bound P(X1+...+Xb <= y) <= e^(s y) E[(1+SNR)^-s]^b,
+    minimized over s > 0."""
+    def log_bound(s):
+        moment = integrate.quad(lambda t: (1.0 + rho * t) ** -s * math.exp(-t),
+                                0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        return s * y + users_per_group * math.log(moment)
+
+    best = optimize.minimize_scalar(log_bound, bounds=(1e-6, 60.0), method="bounded",
+                                    options={"xatol": 1e-8})
+    return math.exp(best.fun)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the inversion misses its 1e-8 "
+                                       "CDF budget at two users per group (3.3e-8 here)")
+def test_capacity_sum_cdf_meets_its_budget_at_two_users_per_group():
+    # 8 dB, two standard deviations below the mean of the group sum
+    rho, y = 10 ** 0.8, 0.989
+    assert abs(capacity_sum_cdf(y, rho, 2) - log1p_snr_sum_cdf_two_users(y, rho)) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: in the far lower tail at high SNR "
+                                       "the inversion returns 4.6e-7 above a 2.5e-9 bound")
+def test_capacity_sum_cdf_respects_the_chernoff_bound_at_high_snr():
+    rho, b, y = 100.0, 6, 4.15
+    assert capacity_sum_cdf(y, rho, b) <= log1p_snr_sum_chernoff_bound(y, rho, b) + 1e-8
 
 
 def test_exact_integral_agrees_with_monte_carlo():

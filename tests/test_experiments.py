@@ -133,10 +133,12 @@ def test_multi_rho_sweep_is_byte_identical_across_worker_counts(tmp_path, monkey
     for workers in ("1", "2", "8"):
         monkeypatch.setenv("CACHECAST_WORKERS", workers)
         path = tmp_path / f"workers{workers}.csv"
-        run_sweep(ExperimentSpec(axis_name="rho_db", axis_values=(-40.0, -10.0, 20.0, 60.0),
-                                 nominal_gain=3, users_per_group=4,
-                                 schemes=("acc", "tdm", "mn"), num_trials=40_000,
-                                 base_seed=13, out_path=str(path)))
+        write_rows(run_sweep(ExperimentSpec(axis_name="rho_db",
+                                            axis_values=(-40.0, -10.0, 20.0, 60.0),
+                                            nominal_gain=3, users_per_group=4,
+                                            schemes=("acc", "tdm", "mn"), num_trials=40_000,
+                                            base_seed=13)),
+                   str(path))
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -230,9 +232,8 @@ def test_registry_covers_every_analysis_method():
 def test_csv_header_is_stable(tmp_path):
     path = tmp_path / "out.csv"
     spec = ExperimentSpec(axis_name="rho_db", axis_values=(0.0,),
-                          schemes=("tdm",), num_trials=100, base_seed=3,
-                          out_path=str(path))
-    run_sweep(spec)
+                          schemes=("tdm",), num_trials=100, base_seed=3)
+    write_rows(run_sweep(spec), str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[0] == "swept,scheme,rate_mean,rate_stderr,gain,gain_stderr,trials,error"
@@ -245,8 +246,8 @@ def test_rerun_reproduces_identical_bytes(tmp_path):
         spec = ExperimentSpec(axis_name="rho_db", axis_values=(-10.0, 0.0, 10.0),
                               nominal_gain=3, users_per_group=2,
                               schemes=("mn", "acc"), analytics=("exact-mn",),
-                              num_trials=500, base_seed=99, out_path=str(path))
-        run_sweep(spec)
+                              num_trials=500, base_seed=99)
+        write_rows(run_sweep(spec), str(path))
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -254,9 +255,9 @@ def test_json_output_round_trips(tmp_path):
     path = tmp_path / "out.json"
     spec = ExperimentSpec(axis_name="rho_db", axis_values=(0.0,),
                           schemes=("tdm",), analytics=("exact-mn",),
-                          num_trials=200, base_seed=5, out_path=str(path),
-                          out_format="json")
+                          num_trials=200, base_seed=5)
     rows = run_sweep(spec)
+    write_rows(rows, str(path), "json")
     loaded = json.loads(path.read_text())
     assert len(loaded) == len(rows) == 2
     assert loaded[0]["scheme"] == "tdm"
@@ -297,12 +298,14 @@ def test_csv_and_json_agree_cell_for_cell(tmp_path):
                 assert type(value)(line[key]) == value, key
 
 
+# b=1 makes the large-B form fail, so the output holds an error row
+ERROR_ROW_SWEEP = ["sweep", "--axis", "b=1,2,4", "--gain", "4", "--schemes", "tdm,acc,mn",
+                   "--analytics", "large-b,exact-mn,low-snr-acc", "--trials", "2000"]
+
+
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_verbose_sweep_writes_the_same_bytes_and_logs_timings(tmp_path, capsys, out_format):
-    # b=1 makes the large-B form fail, so the output holds an error row
-    argv = ["sweep", "--axis", "b=1,2,4", "--gain", "4", "--schemes", "tdm,acc,mn",
-            "--analytics", "large-b,exact-mn,low-snr-acc", "--trials", "2000",
-            "--format", out_format]
+    argv = ERROR_ROW_SWEEP + ["--format", out_format]
     quiet, verbose = tmp_path / f"quiet.{out_format}", tmp_path / f"verbose.{out_format}"
     assert main(argv + ["--out", str(quiet)]) == 0
     assert capsys.readouterr().err == ""
@@ -314,6 +317,18 @@ def test_verbose_sweep_writes_the_same_bytes_and_logs_timings(tmp_path, capsys, 
     assert [line.split()[:2] for line in logged] == (
         [["shared", "estimation"]] * 3 + [["closed", "form"]] * 9)
     assert all(line.endswith(" s") for line in logged)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_sweep_without_out_prints_the_out_file_bytes(tmp_path, capsys, out_format):
+    argv = ERROR_ROW_SWEEP + ["--format", out_format]
+    path = tmp_path / f"sweep.{out_format}"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert "ParameterError" in printed
+    assert printed == path.read_text()
 
 
 # ---------------------------------------------------------------- figure presets
@@ -593,6 +608,14 @@ def test_cli_config_rejects_fields_sweeps_do_not_use(tmp_path, capsys, key):
     assert f"unknown config field {key!r}" in capsys.readouterr().err
 
 
+def test_cli_config_rejects_an_unknown_format(tmp_path, capsys):
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps({"axis": "rho_db=0", "schemes": ["tdm"],
+                                       "format": "xml"}))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
+
+
 def test_cli_parameter_error_exit_code(tmp_path):
     result = run_cli("sweep", "--axis", "rho_db=0:1:1", "--schemes", "warp",
                      "--out", str(tmp_path / "x.csv"))
@@ -620,9 +643,22 @@ def test_cli_timeline_preset(tmp_path):
     out = tmp_path / "timeline.jsonl"
     result = run_cli("timeline", "--preset", "example2", "--out", str(out))
     assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{out}\n"
     lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert lines[0]["t"] == pytest.approx(1.0)
-    assert lines[-1]["completion_time"] == pytest.approx(10.0)
+    assert lines[0] == {"t": pytest.approx(1.0), "group": 0, "user": 0}
+    assert lines[-1] == {"completion_time": pytest.approx(10.0)}
+    assert len(lines) == len(timeline_for(preset="example2").events) + 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--trials", "5000", "--tol-scale", "0"], 1),
+    (["timeline", "--gain", "3", "--users-per-group", "4"], 0),
+], ids=["validate", "timeline"])
+def test_cli_out_into_a_missing_directory_creates_it(tmp_path, capsys, argv, code):
+    path = tmp_path / "missing" / "dir" / "out"
+    assert main(argv + ["--out", str(path)]) == code
+    assert path.read_text()
+    assert os.listdir(path.parent) == ["out"]
 
 
 def test_cli_figure_all_runs_every_preset_in_sorted_order(tmp_path, monkeypatch, capsys):

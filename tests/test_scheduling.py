@@ -303,7 +303,7 @@ def test_jsonl_serialization_round_trip(tmp_path):
     stage, snr, size = example2_stage()
     timeline = acc_stage_timeline(stage, snr, size)
     path = tmp_path / "timeline.jsonl"
-    timeline.write_jsonl(path)
+    path.write_text("\n".join(timeline.jsonl_lines()) + "\n")
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0] == {"t": pytest.approx(1.0), "group": 0, "user": 0}
     assert lines[-1] == {"completion_time": pytest.approx(10.0)}
