@@ -220,7 +220,8 @@ def _mc_estimates(spec):
     with its time: one draw per chunk serves all their SNRs and every
     scheme, TDM always included as the gain reference. A bad trial count or
     seed fails the sweep; any other CachecastError stands in for the
-    estimate of its shape's points, whose rows become error rows."""
+    estimate of its shape's points, whose rows become error rows. The log
+    record also gives the throughput, trials times SNRs per second."""
     shapes = {}
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
@@ -240,9 +241,10 @@ def _mc_estimates(spec):
                                       _mc_seed(spec.base_seed, gain, users_per_group))
         except CachecastError as exc:
             shared = [exc] * len(points)
-        log.info("shared estimation gain=%d users_per_group=%d: %d SNRs, %d trials, %.6f s",
-                 gain, users_per_group, len(points), spec.num_trials,
-                 time.perf_counter() - started)
+        seconds = time.perf_counter() - started
+        log.info("shared estimation gain=%d users_per_group=%d: %d SNRs, %d trials, "
+                 "%.0f trial-SNRs/s, %.6f s", gain, users_per_group, len(points),
+                 spec.num_trials, spec.num_trials * len(points) / seconds, seconds)
         estimates.update((index, estimate) for (index, _), estimate in zip(points, shared))
     return estimates
 

@@ -162,32 +162,33 @@ def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
     return e
 
 
-def _column_values(first, group_mean, columns, count):
+def _group_min(values):
+    """Minimum over the last (groups) axis, as a running np.minimum over its
+    slices: numpy reduces a short innermost axis one element at a time,
+    several times slower. The minimum is exact, so the result is the same."""
+    least = values[..., 0].copy()
+    for g in range(1, values.shape[-1]):
+        np.minimum(least, values[..., g], out=least)
+    return least
+
+
+def _column_values(first, group_total, columns, count):
     """Per-trial value of each (groups, users) column for the first `count`
     trials, from user 0's (blocks, BLOCK_TRIALS, groups) values and, for
-    the one multi-user column, the callable group_mean(). Columns come
-    sorted, so that one is last."""
-    def per_trial(blocked):
-        return blocked.reshape(-1)[:count]
+    the one multi-user column, the callable group_total() of the users'
+    sums. Columns come sorted, so that one is last. The worst group's mean
+    is its smallest sum divided by the users: fl(x / users) is monotone in
+    x, so dividing after the minimum gives the same bits on fewer values."""
     out = []
     for groups, users in columns:
-        if users > 1:
-            out.append(per_trial(group_mean().min(axis=-1)))
-        elif groups == 1:
-            # a copy: a view would keep `first` alive
-            out.append(per_trial(first[..., 0].copy()))
-        else:
-            out.append(per_trial(first.min(axis=-1)))
+        values = group_total() if users > 1 else first
+        out.append(_group_min(values[..., :groups]).reshape(-1)[:count] / users)
     return out
 
 
 def _controls(e, columns, count):
     """Each column's metric on E instead of ln(1 + rho E)."""
-    def group_mean():
-        total = e.sum(axis=1)
-        total /= e.shape[1]
-        return total
-    return _column_values(e[:, 0], group_mean, columns, count)
+    return _column_values(e[:, 0], lambda: e.sum(axis=1), columns, count)
 
 
 def _log_metrics(e, rho, columns, count):
@@ -199,13 +200,12 @@ def _log_metrics(e, rho, columns, count):
 
     first = log1p_user(0)
 
-    def group_mean():
+    def group_total():
         total = first  # summed in place: the single-user columns have read it
         for j in range(1, e.shape[1]):
             total += log1p_user(j)
-        total /= e.shape[1]
         return total
-    return _column_values(first, group_mean, columns, count)
+    return _column_values(first, group_total, columns, count)
 
 
 def _chunk_moments(args):

@@ -181,9 +181,12 @@ def test_a_shapes_logged_time_excludes_other_shapes_and_closed_forms(monkeypatch
                                     base_seed=5))
     assert [row.scheme for row in rows] == ["tdm", "acc", "exact-mn"] * 2
     records = _timing_records(caplog)
-    assert [(kind, args[:-1]) for kind, args in records] == [
+    assert [(kind, args[:4] if kind == "shared" else args[:2]) for kind, args in records] == [
         ("shared", (2, 2, 1, 200)), ("shared", (2, 3, 1, 200)),
         ("closed", ("exact-mn", 2.0)), ("closed", ("exact-mn", 3.0))]
+    # a shared record's throughput is its trials times SNRs over its time
+    assert all(args[-2] == args[3] * args[2] / args[-1]
+               for kind, args in records if kind == "shared")
     # a time that held the other shape or the closed forms would read >= 0.2 s
     # for the first shape and >= 0.5 s for the second
     first, second, *closed = [args[-1] for _, args in records]
@@ -317,6 +320,21 @@ def test_verbose_sweep_writes_the_same_bytes_and_logs_timings(tmp_path, capsys, 
     assert [line.split()[:2] for line in logged] == (
         [["shared", "estimation"]] * 3 + [["closed", "form"]] * 9)
     assert all(line.endswith(" s") for line in logged)
+
+
+def test_verbose_shared_estimation_reports_throughput(tmp_path, capsys):
+    argv = ["-v", "sweep", "--axis", "rho_db=0,10,20", "--gain", "4", "--users-per-group",
+            "2", "--schemes", "tdm,acc", "--trials", "20000",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0
+    (line,) = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("shared estimation")]
+    fields = line.split(": ", 1)[1].split(", ")
+    assert fields[:2] == ["3 SNRs", "20000 trials"]
+    throughput, unit = fields[2].split()
+    seconds = float(fields[3].split()[0])
+    assert unit == "trial-SNRs/s"
+    assert float(throughput) == pytest.approx(3 * 20000 / seconds, rel=1e-3)
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])

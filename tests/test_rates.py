@@ -160,6 +160,50 @@ def test_acc_trial_rates_match_the_out_of_place_formula():
     np.testing.assert_array_equal(got, gain / LN2 * np.concatenate(expected))
 
 
+def _chunk_exponentials(base_seed, substream_index, count, groups, users):
+    # E = -ln(1-u) of one chunk, straight from the Philox substream
+    blocks = -(-count // BLOCK_TRIALS)
+    u = substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)).random(
+        (blocks, users, BLOCK_TRIALS, groups))
+    return -np.log1p(-u)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.TDM, Scheme.MN])
+@pytest.mark.parametrize("gain", [1, 4, 20])
+def test_single_user_trial_rates_match_the_textbook_minimum(scheme, gain):
+    # the group minimum runs slice by slice; it must equal ndarray.min over
+    # the groups axis bit for bit, across a chunk boundary and a partial
+    # last block
+    rho, tail = 2.5, 300
+    config = SystemConfig.from_gain(gain, 3, avg_snr=rho)
+    groups = gain if scheme is Scheme.MN else 1
+    expected = []
+    for chunk_index, count in enumerate((CHUNK_TRIALS, tail)):
+        e = _chunk_exponentials(23, chunk_index + 1, count, groups, 1)
+        expected.append(np.log1p(rho * e)[:, 0].min(axis=-1).reshape(-1)[:count])
+    got = trial_rates(config, scheme, CHUNK_TRIALS + tail, base_seed=23)
+    assert got.tobytes() == (groups / LN2 * np.concatenate(expected)).tobytes()
+
+
+@pytest.mark.parametrize("gain,users", [(1, 3), (4, 1), (4, 5), (20, 2)])
+@pytest.mark.parametrize("tied", [False, True], ids=["drawn", "tied"])
+def test_controls_match_the_textbook_reductions(gain, users, tied):
+    # each control is the smallest group mean of E (or E of the lone user)
+    # taken as the minimum of the group sums divided afterwards; rounding E
+    # to quarters makes many groups tie
+    count = 3 * BLOCK_TRIALS - 40
+    e = _chunk_exponentials(29, 1, count, gain, users)
+    if tied:
+        e = np.floor(4 * e) / 4
+    columns = sorted({(1, 1), (gain, 1), (gain, users)})
+    expected = {(1, 1): e[:, 0, :, 0], (gain, 1): e[:, 0].min(axis=-1),
+                (gain, users): e.mean(axis=1).min(axis=-1)}
+    got = rates._controls(e, columns, count)
+    assert len(got) == len(columns)
+    for column, values in zip(columns, got):
+        assert values.tobytes() == expected[column].reshape(-1)[:count].tobytes(), column
+
+
 # ---------------------------------------------------------------- effective gain
 
 def test_self_ratio_is_exactly_one():
