@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--gain", type=int, help="nominal gain (served groups)")
     sweep.add_argument("--users-per-group", type=int)
     sweep.add_argument("--rho-db", type=float, help="average SNR in dB when fixed")
-    sweep.add_argument("--schemes", help="comma list from tdm,mn,acc")
+    sweep.add_argument("--schemes", help="comma list from tdm,mn,acc,mc-ratio (ACC over MN)")
     sweep.add_argument("--analytics", help="comma list, e.g. exact-mn,large-b")
     sweep.add_argument("--trials", type=int)
     sweep.add_argument("--seed", type=int)

@@ -5,21 +5,22 @@ Sweeps emit CSV or JSON with one row per (swept value, scheme-or-method).
 Monte Carlo rows of points with the same (gain, users_per_group) shape
 come from one shared estimation, ``rates.mc_average_rates``.
 Closed forms come from one registry, ``ANALYTICS``, keyed by analysis
-method id, and every row of a sweep or figure is built by ``_row``, which
-turns a numeric failure into an error row. Rows hold results only, so
-output is byte-reproducible for a fixed spec and seed across runs and worker
-counts; the time of each shared estimation and closed-form row goes to the
-``cachecast`` logger at INFO level instead.
+method id. A figure preset is data: a list of sweep specs in
+``FIGURE_PRESETS``, so ``run_sweep`` makes every row of a sweep or figure,
+and ``_row`` turns a numeric failure into an error row. Rows hold results
+only, so output is byte-reproducible for a fixed spec and seed across runs
+and worker counts; the time of each shared estimation and closed-form row
+goes to the ``cachecast`` logger at INFO level instead.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -52,33 +53,42 @@ from .system import (
 
 AXIS_NAMES = ("rho_db", "users_per_group", "nominal_gain")
 
+#: Monte Carlo row beside the schemes: the ACC-over-MN gain of the shared
+#: estimate, whose error counts the covariance of the two rates
+MC_RATIO = "mc-ratio"
+
 log = logging.getLogger(__name__)
 
 
-def _over_tdm(rate):
-    """Registry entry for a closed-form rate: its gain is over the exact
-    TDM rate."""
-    def value(rho, users_per_group, gain):
-        tdm = analysis.exact_mn_rate(rho, 1).value
-        result = rate(rho, users_per_group, gain).value
-        return result, result / tdm
-    return value
+def _over_mn(rate, rho, reference_gain=1):
+    """(rate, gain) of a closed-form rate: the gain is over the exact MN rate
+    at reference_gain, which at 1 is the TDM rate."""
+    return rate.value, rate.value / analysis.exact_mn_rate(rho, reference_gain).value
 
 
-#: closed forms by analysis method id: (rho, users_per_group, gain) ->
-#: (rate, gain); the ratio limits have no rate
+#: closed forms by name: (rho, users_per_group, gain) -> (rate, gain); the
+#: ratio limits have no rate. Every analysis method id, the large-B form
+#: under each explicit H evaluation, and the large-B form with order-7 GHQ
+#: over exact MN. Each entry looks its analysis function up when called.
 ANALYTICS = {
     analysis.EXACT_MN: lambda rho, b, g: (analysis.exact_mn_rate(rho, g).value,
                                           analysis.mn_gain_exact(rho, g)),
-    analysis.EXACT_ACC_INTEGRAL: _over_tdm(analysis.acc_rate_exact_integral),
-    analysis.LOW_SNR_MN: _over_tdm(lambda rho, b, g: analysis.mn_rate_low_snr(rho, g)),
-    analysis.LOW_SNR_ACC_MULTINOMIAL: _over_tdm(analysis.acc_rate_low_snr),
-    analysis.LARGE_B_NORMAL: _over_tdm(analysis.acc_rate_large_b),
+    analysis.EXACT_ACC_INTEGRAL:
+        lambda rho, b, g: _over_mn(analysis.acc_rate_exact_integral(rho, b, g), rho),
+    analysis.LOW_SNR_MN: lambda rho, b, g: _over_mn(analysis.mn_rate_low_snr(rho, g), rho),
+    analysis.LOW_SNR_ACC_MULTINOMIAL:
+        lambda rho, b, g: _over_mn(analysis.acc_rate_low_snr(rho, b, g), rho),
+    analysis.LARGE_B_NORMAL: lambda rho, b, g: _over_mn(analysis.acc_rate_large_b(rho, b, g), rho),
+    **{f"{analysis.LARGE_B_NORMAL}[h={h}]": lambda rho, b, g, h=h: _over_mn(
+        analysis.acc_rate_large_b(rho, b, g, h_method=h), rho)
+       for h in (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC)},
+    "ratio-large-b-ghq7": lambda rho, b, g: _over_mn(
+        analysis.acc_rate_large_b(rho, b, g, h_method=analysis.H_GHQ), rho, g),
     analysis.LARGE_B_RATIO_LIMIT: lambda rho, b, g: (None, analysis.acc_over_mn_large_b(rho, g)),
     analysis.LOW_SNR_RATIO_LIMIT: lambda rho, b, g: (None, analysis.acc_over_mn_low_snr(g, b)),
 }
 
-#: names accepted by --analytics, normalized to analysis method ids
+#: names accepted by --analytics, normalized to ANALYTICS names
 ANALYTIC_ALIASES = {
     **{method: method for method in ANALYTICS},
     "exact-acc": analysis.EXACT_ACC_INTEGRAL,
@@ -87,10 +97,23 @@ ANALYTIC_ALIASES = {
 }
 
 
+def _number(name, value, integral):
+    """A numeric spec value: a finite real, and where integral is set an
+    integral one, returned as an int. Anything else is a ParameterError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if math.isfinite(value) and not (integral and value != int(value)):
+            return int(value) if integral else value
+    raise ParameterError(
+        f"{name} must be {'an integer' if integral else 'a finite number'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: a single axis, fixed topology parameters, and the set of
-    Monte Carlo schemes and closed forms to evaluate at every point."""
+    Monte Carlo rows (schemes, or mc-ratio) and closed forms to evaluate at
+    every point."""
 
     axis_name: str
     axis_values: tuple
@@ -108,14 +131,19 @@ class ExperimentSpec:
                 f"unknown sweep axis {self.axis_name!r}; expected one of {AXIS_NAMES}")
         # converted before the check: a numpy array has no truth value
         try:
-            object.__setattr__(self, "axis_values", tuple(self.axis_values))
+            values = tuple(self.axis_values)
         except TypeError:
             raise ParameterError(
                 f"axis_values must be a sequence, got {self.axis_values!r}") from None
-        if not self.axis_values:
+        if not values:
             raise ParameterError("the sweep axis needs at least one value")
-        object.__setattr__(self, "schemes",
-                           tuple(Scheme.parse(s) for s in self.schemes))
+        object.__setattr__(self, "axis_values", tuple(
+            _number(self.axis_name, value, self.axis_name != "rho_db") for value in values))
+        for name in ("nominal_gain", "users_per_group", "rho_db"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), name != "rho_db"))
+        object.__setattr__(self, "schemes", tuple(
+            MC_RATIO if str(s).strip().lower() == MC_RATIO else Scheme.parse(s).value
+            for s in self.schemes))
         normalized = []
         for name in self.analytics:
             key = str(name).strip().lower()
@@ -130,10 +158,10 @@ class ExperimentSpec:
     def point(self, value):
         """Fixed parameters at one swept value: (rho, users_per_group, gain)."""
         if self.axis_name == "rho_db":
-            return snr_from_db(value), int(self.users_per_group), int(self.nominal_gain)
+            return snr_from_db(value), self.users_per_group, self.nominal_gain
         if self.axis_name == "users_per_group":
-            return snr_from_db(self.rho_db), int(value), int(self.nominal_gain)
-        return snr_from_db(self.rho_db), int(self.users_per_group), int(value)
+            return snr_from_db(self.rho_db), value, self.nominal_gain
+        return snr_from_db(self.rho_db), self.users_per_group, value
 
 
 @dataclass(frozen=True)
@@ -184,10 +212,6 @@ def parse_axis(text: str):
             raise ParameterError(f"could not parse axis values {values!r}") from None
     if not parsed:
         raise ParameterError(f"axis {text!r} has no values")
-    if name in ("users_per_group", "nominal_gain"):
-        if any(abs(v - round(v)) > 1e-9 for v in parsed):
-            raise ParameterError(f"{name} axis values must be integers, got {values!r}")
-        parsed = [int(round(v)) for v in parsed]
     return name, tuple(parsed)
 
 
@@ -231,7 +255,10 @@ def _mc_estimates(spec):
     if not spec.schemes:
         return {}
     check_run(spec.num_trials, spec.base_seed)
-    schemes = tuple(dict.fromkeys((Scheme.TDM,) + spec.schemes))
+    # TDM is the gain reference; mc-ratio reads ACC and MN
+    schemes = tuple(dict.fromkeys(["tdm"] + [
+        scheme for name in spec.schemes
+        for scheme in (("acc", "mn") if name == MC_RATIO else (name,))]))
     estimates = {}
     for (gain, users_per_group), points in shapes.items():
         started = time.perf_counter()
@@ -249,44 +276,38 @@ def _mc_estimates(spec):
     return estimates
 
 
-def _gain_cells(shared, scheme, reference=Scheme.TDM):
+def _mc_cells(shared, name):
+    """Cells of a Monte Carlo row: a scheme's rate and gain over TDM, or
+    only the ACC-over-MN gain for mc-ratio. A failed shape raises its error."""
     if isinstance(shared, CachecastError):
         raise shared
+    scheme, reference = (Scheme.ACC, Scheme.MN) if name == MC_RATIO else (Scheme(name), Scheme.TDM)
     gain = shared.gain(scheme, reference)
-    return {"gain": gain.value, "gain_stderr": gain.std_err,
-            "trials": gain.numerator.num_trials}
-
-
-def _mc_cells(shared, scheme):
-    cells = _gain_cells(shared, scheme)  # first: it raises a failed shape's error
+    cells = {"gain": gain.value, "gain_stderr": gain.std_err, "trials": gain.numerator.num_trials}
+    if name == MC_RATIO:
+        return cells
     rate = shared.rates[scheme]
     return {"rate_mean": rate.mean, "rate_stderr": rate.std_err, **cells}
 
 
-def _closed_form_row(swept, scheme, closed_form, rho, users_per_group, gain):
-    """Row of one closed form shaped like the ANALYTICS entries, logged with
-    its time."""
-    started = time.perf_counter()
-    row = _row(swept, scheme, lambda: dict(
-        zip(("rate_mean", "gain"), closed_form(rho, users_per_group, gain))))
-    log.info("closed form %s at %s: %.6f s", scheme, row.swept, time.perf_counter() - started)
-    return row
-
-
 def run_sweep(spec: ExperimentSpec, *, label_suffix: str = "") -> list:
     """Evaluate the sweep into rows. Per-point numeric failures land in the
-    row's error column without aborting the sweep."""
+    row's error column without aborting the sweep. Each closed-form row is
+    logged with its time."""
     estimates = _mc_estimates(spec)
     rows = []
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
         if index in estimates:
-            rows += [_row(value, scheme.value + label_suffix,
-                          lambda shared=estimates[index], scheme=scheme: _mc_cells(shared, scheme))
-                     for scheme in spec.schemes]
-        rows += [_closed_form_row(value, method + label_suffix, ANALYTICS[method],
-                                  rho, users_per_group, gain)
-                 for method in spec.analytics]
+            rows += [_row(value, name + label_suffix,
+                          lambda shared=estimates[index], name=name: _mc_cells(shared, name))
+                     for name in spec.schemes]
+        for method in spec.analytics:
+            started = time.perf_counter()
+            rows.append(_row(value, method + label_suffix, lambda: dict(
+                zip(("rate_mean", "gain"), ANALYTICS[method](rho, users_per_group, gain)))))
+            log.info("closed form %s at %s: %.6f s", rows[-1].scheme, rows[-1].swept,
+                     time.perf_counter() - started)
     return rows
 
 
@@ -331,157 +352,78 @@ def write_rows(rows, path: str | None, out_format: str = "csv"):
 # figure presets
 # ---------------------------------------------------------------------------
 
-def _fig1(trials, seed):
+def _entry(axis_name, axis_values, suffix="", **spec_fields):
+    """One preset entry: (ExperimentSpec fields, label suffix)."""
+    return dict(axis_name=axis_name, axis_values=axis_values, **spec_fields), suffix
+
+
+_SNR = np.arange(-20.0, 30.0 + 1e-9, 2.0)
+_LOW_SNR = np.arange(-20.0, 10.0 + 1e-9, 2.0)
+_GROUP_SIZES = (2, 4, 6, 8, 10, 16, 24, 32, 48, 64)
+
+#: figure presets: each an ordered list of (ExperimentSpec fields, label
+#: suffix) entries, run by figure_rows. Axis ranges mirror the reference
+#: plots qualitatively; they are documented choices, not pixel-faithful
+#: reconstructions.
+FIGURE_PRESETS = {
     # XOR-scheme gain collapse vs average SNR, one curve per nominal gain
-    rows = []
-    for gain in (2, 5, 10):
-        spec = ExperimentSpec("rho_db", np.arange(-20.0, 30.0 + 1e-9, 1.0),
-                              nominal_gain=gain, users_per_group=1,
-                              analytics=("exact-mn",), num_trials=trials, base_seed=seed)
-        rows += run_sweep(spec, label_suffix=f"[g={gain}]")
-    return rows
-
-
-def _fig3(trials, seed):
+    "fig1": [_entry("rho_db", np.arange(-20.0, 30.0 + 1e-9, 1.0), f"[g={g}]", nominal_gain=g,
+                    users_per_group=1, analytics=("exact-mn",)) for g in (2, 5, 10)],
     # effective gains vs SNR at gain 10: XOR baseline and aggregated curves
-    rows = []
-    axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
-    rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=10, users_per_group=1,
-                                     schemes=("mn",), num_trials=trials, base_seed=seed))
-    for b in (2, 4, 6):
-        rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=10, users_per_group=b,
-                                         schemes=("acc",), num_trials=trials, base_seed=seed),
-                          label_suffix=f"[b={b}]")
-    return rows
-
-
-def _fig4(trials, seed):
+    "fig3": [_entry("rho_db", _SNR, nominal_gain=10, users_per_group=1, schemes=("mn",))]
+            + [_entry("rho_db", _SNR, f"[b={b}]", nominal_gain=10, users_per_group=b,
+                      schemes=("acc",)) for b in (2, 4, 6)],
     # low-SNR aggregated-over-XOR ratio vs users per group
-    rows = []
-    for gain, b_max in ((2, 16), (5, 16), (10, 12)):
-        spec = ExperimentSpec("users_per_group", range(1, b_max + 1), nominal_gain=gain,
-                              analytics=("low-snr-ratio-limit",), num_trials=trials,
-                              base_seed=seed)
-        rows += run_sweep(spec, label_suffix=f"[g={gain}]")
-    return rows
-
-
-def _fig5(trials, seed):
+    "fig4": [_entry("users_per_group", range(1, b_max + 1), f"[g={g}]", nominal_gain=g,
+                    analytics=("low-snr-ratio-limit",))
+             for g, b_max in ((2, 16), (5, 16), (10, 12))],
     # aggregated average rate vs SNR at gain 4: simulation, exact integral,
     # low-SNR forms
-    rows = []
-    axis = np.arange(-20.0, 10.0 + 1e-9, 2.0)
-    rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=4, users_per_group=1,
-                                     schemes=("mn",), analytics=("low-snr-mn",),
-                                     num_trials=trials, base_seed=seed),
-                      label_suffix="[b=1]")
-    for b in (2, 3):
-        rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=4, users_per_group=b,
-                                         schemes=("acc",),
-                                         analytics=("exact-acc-integral", "low-snr-acc"),
-                                         num_trials=trials, base_seed=seed),
-                          label_suffix=f"[b={b}]")
-    return rows
-
-
-def _fig6(trials, seed):
+    "fig5": [_entry("rho_db", _LOW_SNR, "[b=1]", nominal_gain=4, users_per_group=1,
+                    schemes=("mn",), analytics=("low-snr-mn",))]
+            + [_entry("rho_db", _LOW_SNR, f"[b={b}]", nominal_gain=4, users_per_group=b,
+                      schemes=("acc",), analytics=("exact-acc-integral", "low-snr-acc"))
+               for b in (2, 3)],
     # aggregated average rate vs SNR at three users per group, varying gain
-    rows = []
-    axis = np.arange(-20.0, 10.0 + 1e-9, 2.0)
-    for gain in (2, 4, 8):
-        rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=gain, users_per_group=3,
-                                         schemes=("acc",), analytics=("low-snr-acc",),
-                                         num_trials=trials, base_seed=seed),
-                          label_suffix=f"[g={gain}]")
-    return rows
-
-
-def _fig7(trials, seed):
+    "fig6": [_entry("rho_db", _LOW_SNR, f"[g={g}]", nominal_gain=g, users_per_group=3,
+                    schemes=("acc",), analytics=("low-snr-acc",)) for g in (2, 4, 8)],
     # aggregated rate vs users per group at 0 dB, large-B normal form
-    rows = []
-    axis = (2, 4, 6, 8, 10, 16, 24, 32, 48, 64)
-    for gain in (2, 3, 4, 5):
-        rows += run_sweep(ExperimentSpec("users_per_group", axis, nominal_gain=gain,
-                                         rho_db=0.0, schemes=("acc",),
-                                         analytics=("large-b-normal",),
-                                         num_trials=trials, base_seed=seed),
-                          label_suffix=f"[g={gain}]")
-    return rows
-
-
-def _fig8(trials, seed):
+    "fig7": [_entry("users_per_group", _GROUP_SIZES, f"[g={g}]", nominal_gain=g,
+                    schemes=("acc",), analytics=("large-b-normal",)) for g in (2, 3, 4, 5)],
     # the same large-B form at gain 10 under the different H evaluations
-    axis = (2, 4, 6, 8, 10, 16, 24, 32, 48, 64)
-    rows = run_sweep(ExperimentSpec("users_per_group", axis, nominal_gain=10, rho_db=0.0,
-                                    schemes=("acc",), num_trials=trials, base_seed=seed))
-    for method in (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC):
-        large_b = _over_tdm(functools.partial(analysis.acc_rate_large_b, h_method=method))
-        rows += [_closed_form_row(b, f"large-b-normal[h={method}]", large_b,
-                                  snr_from_db(0.0), b, 10)
-                 for b in axis]
-    return rows
-
-
-def _mc_ratio_rows(axis, gain, users_per_group, trials, seed, label):
-    """Monte Carlo ACC-over-MN rate ratio at every SNR of the axis, from the
-    estimates of the sweep of both schemes, so the ratio's error counts
-    their covariance."""
-    spec = ExperimentSpec("rho_db", axis, nominal_gain=gain, users_per_group=users_per_group,
-                          schemes=("acc", "mn"), num_trials=trials, base_seed=seed)
-    estimates = _mc_estimates(spec)
-    return [_row(value, f"mc-ratio[{label}]",
-                 lambda shared=estimates[index]: _gain_cells(shared, Scheme.ACC, Scheme.MN))
-            for index, value in enumerate(spec.axis_values)]
-
-
-def _large_b_ghq_over_mn(rho, users_per_group, gain):
-    acc = analysis.acc_rate_large_b(rho, users_per_group, gain, h_method=analysis.H_GHQ).value
-    return acc, acc / analysis.exact_mn_rate(rho, gain).value
-
-
-def _fig9(trials, seed):
+    "fig8": [_entry("users_per_group", _GROUP_SIZES, nominal_gain=10, schemes=("acc",))]
+            + [_entry("users_per_group", _GROUP_SIZES, nominal_gain=10,
+                      analytics=(f"large-b-normal[h={h}]",))
+               for h in (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC)],
     # aggregated-over-XOR ratio vs SNR for gains beyond the closed-form
-    # table, H via order-7 Gauss-Hermite
-    rows = []
-    axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
-    for gain in (6, 8, 10):
-        rows += [_closed_form_row(value, f"ratio-large-b-ghq7[g={gain}]",
-                                  _large_b_ghq_over_mn, snr_from_db(value), 6, gain)
-                 for value in axis]
-        rows += _mc_ratio_rows(axis, gain, 6, trials, seed, f"g={gain}")
-    return rows
-
-
-def _fig10(trials, seed):
+    # table, H via order-7 Gauss-Hermite, beside the Monte Carlo ratio
+    "fig9": [_entry("rho_db", _SNR, f"[g={g}]", nominal_gain=g, users_per_group=6, **kind)
+             for g in (6, 8, 10)
+             for kind in ({"analytics": ("ratio-large-b-ghq7",)}, {"schemes": (MC_RATIO,)})],
     # aggregated-over-XOR ratio vs SNR at gain 4 for several group sizes,
     # with the many-users limit curve as reference
-    rows = []
-    axis = np.arange(-20.0, 30.0 + 1e-9, 2.0)
-    for b in (2, 8, 32):
-        rows += _mc_ratio_rows(axis, 4, b, trials, seed, f"b={b}")
-    rows += run_sweep(ExperimentSpec("rho_db", axis, nominal_gain=4,
-                                     analytics=("large-b-ratio-limit",),
-                                     num_trials=trials, base_seed=seed))
-    return rows
-
-
-FIGURE_PRESETS = {
-    "fig1": _fig1, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6,
-    "fig7": _fig7, "fig8": _fig8, "fig9": _fig9, "fig10": _fig10,
+    "fig10": [_entry("rho_db", _SNR, f"[b={b}]", nominal_gain=4, users_per_group=b,
+                     schemes=(MC_RATIO,)) for b in (2, 8, 32)]
+             + [_entry("rho_db", _SNR, nominal_gain=4, analytics=("large-b-ratio-limit",))],
 }
+
+
+def figure_rows(name: str, trials: int, seed: int) -> list:
+    """One figure preset's rows: run_sweep over its entries in order."""
+    if name not in FIGURE_PRESETS:
+        raise ParameterError(
+            f"unknown figure preset {name!r}; expected one of {sorted(FIGURE_PRESETS)}")
+    rows = []
+    for spec_fields, suffix in FIGURE_PRESETS[name]:
+        spec = ExperimentSpec(**spec_fields, num_trials=trials, base_seed=seed)
+        rows += run_sweep(spec, label_suffix=suffix)
+    return rows
 
 
 def run_figure(name: str, out_dir: str, num_trials: int = 100_000,
                base_seed: int = 42) -> str:
-    """Produce one figure preset's data as <out_dir>/<name>.csv.
-
-    Axis ranges mirror the reference plots qualitatively; they are
-    documented choices, not pixel-faithful reconstructions.
-    """
-    if name not in FIGURE_PRESETS:
-        raise ParameterError(
-            f"unknown figure preset {name!r}; expected one of {sorted(FIGURE_PRESETS)}")
-    rows = FIGURE_PRESETS[name](num_trials, base_seed)
+    """Write one figure preset's rows to <out_dir>/<name>.csv."""
+    rows = figure_rows(name, num_trials, base_seed)
     path = os.path.join(out_dir, f"{name}.csv")
     write_rows(rows, path, "csv")
     return path

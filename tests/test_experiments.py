@@ -18,6 +18,7 @@ from cachecast.experiments import (
     CSV_HEADER,
     ExperimentSpec,
     FIGURE_PRESETS,
+    figure_rows,
     parse_axis,
     run_figure,
     run_sweep,
@@ -73,6 +74,28 @@ def test_spec_accepts_numpy_axes():
     for empty in (np.array([]), (), None):
         with pytest.raises(ParameterError):
             ExperimentSpec(axis_name="rho_db", axis_values=empty, schemes=("tdm",))
+
+
+@pytest.mark.parametrize("fields", [
+    {"users_per_group": 3.9}, {"nominal_gain": 2.7}, {"nominal_gain": True},
+    {"rho_db": "abc"}, {"rho_db": math.nan}, {"rho_db": -math.inf},
+    {"axis_name": "users_per_group", "axis_values": (2, 2.5)},
+    {"axis_name": "nominal_gain", "axis_values": ("3",)},
+    {"axis_values": (0.0, math.inf)}, {"axis_values": (0.0, "10")},
+], ids=lambda fields: repr(fields))
+def test_spec_rejects_non_integral_or_non_finite_numbers(fields):
+    with pytest.raises(ParameterError):
+        ExperimentSpec(**{"axis_name": "rho_db", "axis_values": (0.0,),
+                          "schemes": ("tdm",), **fields})
+
+
+def test_spec_keeps_integral_numbers_as_ints():
+    spec = ExperimentSpec(axis_name="users_per_group", axis_values=np.array([2.0, 4.0]),
+                          nominal_gain=np.int64(3), rho_db=np.float64(-2.5),
+                          schemes=("acc",))
+    assert spec.axis_values == (2, 4) and spec.nominal_gain == 3
+    assert all(type(value) is int for value in spec.axis_values + (spec.nominal_gain,))
+    assert spec.point(spec.axis_values[1]) == (snr_from_db(-2.5), 4, 3)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -226,7 +249,9 @@ def test_a_negative_seed_is_a_parameter_error_in_figures_too(tmp_path):
 
 
 def test_registry_covers_every_analysis_method():
-    assert set(experiments.ANALYTICS) == set(analysis.APPROX_METHODS)
+    figure_variants = {"large-b-normal[h=integral]", "large-b-normal[h=ghq]",
+                       "large-b-normal[h=asymptotic]", "ratio-large-b-ghq7"}
+    assert set(experiments.ANALYTICS) == set(analysis.APPROX_METHODS) | figure_variants
     assert set(experiments.ANALYTIC_ALIASES.values()) <= set(experiments.ANALYTICS)
     for method in experiments.ANALYTICS:
         assert experiments.ANALYTIC_ALIASES[method] == method
@@ -403,6 +428,24 @@ def test_fig10_ratio_rows_divide_the_sweep_rates(tmp_path):
                if line["scheme"].startswith("mc-ratio"))
 
 
+def test_mc_ratio_sweep_matches_the_fig10_rows(tmp_path):
+    trials, seed = 2000, 6
+    _, figure = _csv_records(run_figure("fig10", str(tmp_path), num_trials=trials,
+                                        base_seed=seed))
+    cells = ("rate_mean", "rate_stderr", "gain", "gain_stderr", "trials", "error")
+    expected = {line["swept"]: [line[cell] for cell in cells]
+                for line in figure if line["scheme"] == "mc-ratio[b=8]"}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--schemes", "mc-ratio", "--axis", "rho_db=-20,-6,0,14,30",
+                 "--gain", "4", "--users-per-group", "8", "--trials", str(trials),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    _, swept = _csv_records(out)
+    assert [line["scheme"] for line in swept] == ["mc-ratio"] * 5
+    for line in swept:
+        assert [line[cell] for cell in cells] == expected[line["swept"]]
+        assert line["rate_mean"] == "" and float(line["gain_stderr"]) > 0.0
+
+
 def test_fig10_failing_shape_makes_error_rows(monkeypatch):
     def estimate(gain, users_per_group, *args, **kwargs):
         if users_per_group == 8:
@@ -410,7 +453,7 @@ def test_fig10_failing_shape_makes_error_rows(monkeypatch):
         return mc_average_rates(gain, users_per_group, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "mc_average_rates", estimate)
-    rows = FIGURE_PRESETS["fig10"](100, 6)
+    rows = figure_rows("fig10", 100, 6)
     errors = {row.scheme: set() for row in rows}
     for row in rows:
         errors[row.scheme].add(row.error)
@@ -420,7 +463,7 @@ def test_fig10_failing_shape_makes_error_rows(monkeypatch):
 
 
 def test_fig8_rows_evaluate_large_b_under_each_h_method():
-    rows = FIGURE_PRESETS["fig8"](100, 3)
+    rows = figure_rows("fig8", 100, 3)
     tdm = analysis.exact_mn_rate(1.0, 1).value
     methods = (analysis.H_INTEGRAL, analysis.H_GHQ, analysis.H_ASYMPTOTIC)
     checked = 0
@@ -442,7 +485,7 @@ def test_fig8_numeric_failures_become_error_rows(monkeypatch):
         raise NumericsError("H out of budget")
 
     monkeypatch.setattr(analysis, "acc_rate_large_b", failing)
-    rows = FIGURE_PRESETS["fig8"](100, 3)
+    rows = figure_rows("fig8", 100, 3)
     large_b = [row for row in rows if row.scheme.startswith("large-b-normal")]
     assert len(large_b) == 3 * 10
     for row in large_b:
@@ -452,7 +495,7 @@ def test_fig8_numeric_failures_become_error_rows(monkeypatch):
 
 
 def test_fig9_ratio_rows_divide_large_b_by_exact_mn():
-    rows = FIGURE_PRESETS["fig9"](100, 4)
+    rows = figure_rows("fig9", 100, 4)
     checked = 0
     for row in rows:
         if not row.scheme.startswith("ratio-large-b-ghq7"):
@@ -465,6 +508,25 @@ def test_fig9_ratio_rows_divide_large_b_by_exact_mn():
         assert row.gain == acc / analysis.exact_mn_rate(rho, gain).value
         checked += 1
     assert checked == 3 * 26
+
+
+def test_figures_are_byte_identical_across_worker_counts(tmp_path, monkeypatch, capsys):
+    # 9000 trials are two chunks, so two workers estimate them in parallel
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CACHECAST_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["figure", "fig9", "fig10", "--out", str(out), "--trials", "9000"]) == 0
+        outputs[workers] = [(out / f"{name}.csv").read_bytes() for name in ("fig9", "fig10")]
+    assert outputs["1"] == outputs["2"]
+    capsys.readouterr()
+    assert main(["-v", "figure", "fig9", "--out", str(tmp_path / "verbose"),
+                 "--trials", "300"]) == 0
+    # one record per shape's shared estimation and one per closed-form row
+    kinds = [line.split()[:2] for line in capsys.readouterr().err.splitlines()]
+    assert kinds.count(["shared", "estimation"]) == 3
+    assert kinds.count(["closed", "form"]) == 3 * 26
+    assert len(kinds) == 3 + 3 * 26
 
 
 def test_unknown_preset_is_a_parameter_error(tmp_path):
@@ -632,6 +694,17 @@ def test_cli_config_rejects_an_unknown_format(tmp_path, capsys):
                                        "format": "xml"}))
     assert main(["sweep", "--config", str(config_path)]) == 2
     assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, key, value", [
+    ("rho_db=0", "users_per_group", 3.9), ("rho_db=0", "gain", 2.7), ("b=2", "rho_db", "abc"),
+])
+def test_cli_config_rejects_non_integral_or_non_finite_values(tmp_path, capsys, axis, key,
+                                                              value):
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps({"axis": axis, "schemes": ["tdm"], key: value}))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_parameter_error_exit_code(tmp_path):
