@@ -4,7 +4,6 @@ analysis of the TDM, XOR-multicast (MN) and aggregated (ACC) schemes."""
 
 from .analysis import (
     ApproxResult,
-    acc_gain_limit,
     acc_over_mn_large_b,
     acc_over_mn_low_snr,
     acc_rate_exact_integral,
@@ -24,13 +23,9 @@ from .errors import (
     UnboundedDelayError,
 )
 from .numerics import (
-    QuadratureRule,
-    exp_int_ei,
     exp_scaled_e1,
     gauss_hermite_rule,
     log_char_moment,
-    q_function,
-    regularized_upper_gamma,
     second_moment_log1p,
 )
 from .rates import (
@@ -38,8 +33,6 @@ from .rates import (
     RateEstimate,
     SharedEstimate,
     effective_gain,
-    inst_rate_acc,
-    inst_rate_mn,
     mc_average_rate,
     mc_average_rates,
     trial_rates,
@@ -49,7 +42,6 @@ from .scheduling import (
     DeliveryTimeline,
     SubfileId,
     acc_stage_timeline,
-    assign_groups,
     enumerate_stages,
     full_session_delay,
     mn_stage_delay,

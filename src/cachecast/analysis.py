@@ -4,7 +4,7 @@ Covers the exact XOR-multicast (MN) rate, its low-SNR second-order form and
 exact gain, the exact aggregated (ACC) rate by characteristic-function
 inversion, the low-SNR multinomial constant and rate, the large-group-size
 normal approximation with the expected-extreme constant H, and the
-documented nominal-gain limits.
+low-SNR and many-users limits of the aggregated-to-XOR rate ratio.
 
 Conventions: rates are bits/s/Hz; `gain` is the nominal multicast size
 (number of simultaneously served groups); `users_per_group` is the number
@@ -62,14 +62,10 @@ H_METHODS = (H_TABLE, H_INTEGRAL, H_GHQ, H_ASYMPTOTIC, H_AUTO)
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """Value of one named closed form, with the parameters it was
-    evaluated at for provenance."""
+    """Value of one named closed form."""
 
     value: float
     method: str
-    rho: float | None = None
-    users_per_group: int | None = None
-    gain: int | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -123,7 +119,7 @@ def exact_mn_rate(rho: float, gain: int) -> ApproxResult:
     rho = _check_rho(rho)
     gain = _check_positive_int(gain, "gain")
     value = gain / LN2 * exp_scaled_e1(gain / rho)
-    return ApproxResult(value=value, method=EXACT_MN, rho=rho, gain=gain)
+    return ApproxResult(value=value, method=EXACT_MN)
 
 
 def mn_gain_exact(rho: float, gain: int) -> float:
@@ -144,7 +140,7 @@ def mn_rate_low_snr(rho: float, gain: int) -> ApproxResult:
     gain = _check_positive_int(gain, "gain")
     x = rho / gain
     value = gain / LN2 * (math.log1p(x) - x * x / (2.0 * (1.0 + x) ** 2))
-    return ApproxResult(value=value, method=LOW_SNR_MN, rho=rho, gain=gain)
+    return ApproxResult(value=value, method=LOW_SNR_MN)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +185,19 @@ def acc_rate_low_snr(rho: float, users_per_group: int, gain: int) -> ApproxResul
     """First-order low-SNR aggregated rate:
     rho * gain / (users_per_group ln 2) * psi."""
     rho = _check_rho(rho)
-    value = rho * gain / (users_per_group * LN2) * psi(gain, users_per_group)
-    return ApproxResult(value=value, method=LOW_SNR_ACC_MULTINOMIAL, rho=rho,
-                        users_per_group=int(users_per_group), gain=int(gain))
+    b = _check_positive_int(users_per_group, "users_per_group")
+    gain = _check_positive_int(gain, "gain")
+    value = rho * gain / (b * LN2) * psi(gain, b)
+    return ApproxResult(value=value, method=LOW_SNR_ACC_MULTINOMIAL)
 
 
 def acc_over_mn_low_snr(gain: int, users_per_group: int) -> float:
     """Low-SNR limit of the aggregated-to-XOR rate ratio:
     (gain/users_per_group) * psi. Equals 1 for a single user per group and
     climbs toward `gain` as the group size grows."""
-    return gain / users_per_group * psi(gain, users_per_group)
+    b = _check_positive_int(users_per_group, "users_per_group")
+    gain = _check_positive_int(gain, "gain")
+    return gain / b * psi(gain, b)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +213,6 @@ def acc_over_mn_large_b(rho: float, gain: int) -> float:
     rho = _check_rho(rho)
     gain = _check_positive_int(gain, "gain")
     return exp_scaled_e1(1.0 / rho) / exp_scaled_e1(gain / rho)
-
-
-def acc_gain_limit(gain: int) -> float:
-    """Nominal gain recovered in the many-users limit at any SNR; the
-    reference line for gain plots."""
-    return float(_check_positive_int(gain, "gain"))
 
 
 _H_TABLE_VALUES = {
@@ -246,7 +239,7 @@ def _h_integral(gain: int) -> float:
 def _h_ghq(gain: int, order: int) -> float:
     # adaptive GHQ (Liu & Pierce 1994) of the by-parts form in h_order_stat,
     # summed in log space so large gains cannot overflow
-    rule = gauss_hermite_rule(order)
+    nodes, weights = gauss_hermite_rule(order)
     if gain == 1:
         return 0.0
     k = gain - 2
@@ -266,9 +259,9 @@ def _h_ghq(gain: int, order: int) -> float:
             break
     r = mills(mode)
     scale = math.sqrt(2.0 / (2.0 + k * r * (mode + r)))
-    y = mode + scale * rule.nodes
-    log_terms = rule.nodes ** 2 - y * y + k * special.log_ndtr(y)
-    log_sum = special.logsumexp(log_terms, b=rule.weights)
+    y = mode + scale * nodes
+    log_terms = nodes ** 2 - y * y + k * special.log_ndtr(y)
+    log_sum = special.logsumexp(log_terms, b=weights)
     return gain * (gain - 1) / (2.0 * math.pi) * scale * math.exp(log_sum)
 
 
@@ -319,8 +312,7 @@ def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
     sigma = std_log1p_snr(rho)
     h = h_order_stat(gain, h_method)
     value = gain / LN2 * (mu - sigma * h / math.sqrt(b))
-    return ApproxResult(value=value, method=LARGE_B_NORMAL, rho=rho,
-                        users_per_group=b, gain=gain)
+    return ApproxResult(value=value, method=LARGE_B_NORMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -509,5 +501,4 @@ def acc_rate_exact_integral(rho: float, users_per_group: int, gain: int) -> Appr
     gain = _check_positive_int(gain, "gain")
     expected_min = _inversion(rho, b).expected_min(gain)
     value = gain / (b * LN2) * expected_min
-    return ApproxResult(value=value, method=EXACT_ACC_INTEGRAL, rho=rho,
-                        users_per_group=b, gain=gain)
+    return ApproxResult(value=value, method=EXACT_ACC_INTEGRAL)

@@ -109,6 +109,17 @@ def _number(name, value, integral):
         f"{name} must be {'an integer' if integral else 'a finite number'}, got {value!r}")
 
 
+def _mc_row(name):
+    """A Monte Carlo row name: a delivery scheme's value, or mc-ratio."""
+    if str(name).strip().lower() == MC_RATIO:
+        return MC_RATIO
+    try:
+        return Scheme.parse(name).value
+    except ParameterError:
+        raise ParameterError(f"unknown scheme {name!r}; expected one of "
+                             f"{[scheme.value for scheme in Scheme] + [MC_RATIO]}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: a single axis, fixed topology parameters, and the set of
@@ -141,9 +152,7 @@ class ExperimentSpec:
             _number(self.axis_name, value, self.axis_name != "rho_db") for value in values))
         for name in ("nominal_gain", "users_per_group", "rho_db"):
             object.__setattr__(self, name, _number(name, getattr(self, name), name != "rho_db"))
-        object.__setattr__(self, "schemes", tuple(
-            MC_RATIO if str(s).strip().lower() == MC_RATIO else Scheme.parse(s).value
-            for s in self.schemes))
+        object.__setattr__(self, "schemes", tuple(_mc_row(s) for s in self.schemes))
         normalized = []
         for name in self.analytics:
             key = str(name).strip().lower()
@@ -199,6 +208,8 @@ def parse_axis(text: str):
             start, stop, step = (float(part) for part in values.split(":"))
         except ValueError:
             raise ParameterError(f"could not parse axis range {values!r}") from None
+        if not all(math.isfinite(part) for part in (start, stop, step)):
+            raise ParameterError(f"axis range {values!r} must be finite")
         if step <= 0:
             raise ParameterError(f"axis step must be positive, got {step}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

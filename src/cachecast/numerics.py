@@ -11,7 +11,6 @@ silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -92,65 +91,14 @@ def exp_scaled_e1(a: float) -> float:
         return math.exp(a) * float(special.exp1(a))
     return _e1_cf_scaled(a)
 
-def exp_int_ei(x: float) -> float:
-    """Exponential integral Ei(x) for strictly negative x.
-
-    Ei(-a) = -E1(a) = -integral_a^inf exp(-u)/u du; the result is always
-    negative and satisfies the sandwich
-    ``-exp(-a) ln(1+1/a) < Ei(-a) < -(exp(-a)/2) ln(1+2/a)``.
-    """
-    if not (x < 0) or not math.isfinite(x):
-        raise ParameterError(f"exp_int_ei is defined for x < 0 only, got {x}")
-    return -float(special.exp1(-x))
-
-
-# ---------------------------------------------------------------------------
-# Gaussian tail
-# ---------------------------------------------------------------------------
-
-def q_function(y: float) -> float:
-    """Tail probability Q(y) = P(N(0,1) > y) = Phi(-y)."""
-    return float(special.ndtr(-float(y)))
-
 
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating against the weight exp(-x^2).
-
-    Immutable after construction and safe to share across workers.
-    """
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if len(nodes) != self.order or len(weights) != self.order:
-            raise ParameterError("rule arrays must both have length `order`")
-        if np.any(weights <= 0):
-            raise ParameterError("quadrature weights must be positive")
-        if not np.allclose(nodes, -nodes[::-1], atol=1e-12):
-            raise ParameterError("nodes must be symmetric about zero")
-        zeroth = math.sqrt(math.pi)
-        if abs(weights.sum() - zeroth) > 1e-12 * zeroth:
-            raise ParameterError("weights must sum to the zeroth Gaussian moment")
-
-    def integrate(self, func) -> float:
-        """Approximate integral of func(x) * exp(-x^2) over the real line."""
-        return float(np.sum(self.weights * func(self.nodes)))
-
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order (1 <= order <= 64).
+def gauss_hermite_rule(order: int):
+    """(nodes, weights) of the Gauss-Hermite rule of the given order
+    (1 <= order <= 64), integrating against the weight exp(-x^2).
 
     Nodes are the roots of the degree-``order`` (physicists') Hermite
     polynomial; the rule is exact for polynomials of degree 2*order-1
@@ -159,8 +107,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= _MAX_GH_ORDER:
         raise ParameterError(
             f"Gauss-Hermite order must be an integer in [1, {_MAX_GH_ORDER}], got {order}")
-    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-    return QuadratureRule(order=int(order), nodes=nodes, weights=weights)
+    return np.polynomial.hermite.hermgauss(int(order))
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +160,3 @@ def second_moment_log1p(rho: float) -> float:
     return _checked_quad(integrand, 0.0, np.inf,
                          what=f"second moment of ln(1+SNR) at rho={rho}")
 
-
-# ---------------------------------------------------------------------------
-# regularized incomplete gamma (integer shape)
-# ---------------------------------------------------------------------------
-
-def regularized_upper_gamma(shape: int, x: float) -> float:
-    """Gamma(shape, x)/Gamma(shape) for integer shape >= 1 and x >= 0.
-
-    Equals exp(-x) * sum_{t<shape} x^t/t!, the survival function of a
-    Gamma(shape, 1) variable at x; evaluated by scipy.special.gammaincc.
-    """
-    if not isinstance(shape, (int, np.integer)) or shape < 1:
-        raise ParameterError(f"shape must be an integer >= 1, got {shape}")
-    if not (x >= 0) or not math.isfinite(x):
-        raise ParameterError(f"x must be nonnegative and finite, got {x}")
-    return float(special.gammaincc(int(shape), x))

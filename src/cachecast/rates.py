@@ -1,5 +1,5 @@
-"""Instantaneous rate metrics and Monte Carlo estimators of the average
-rates of the TDM, XOR-multicast (MN) and aggregated (ACC) schemes.
+"""Monte Carlo estimators of the average rates of the TDM, XOR-multicast
+(MN) and aggregated (ACC) schemes.
 
 Per-trial metrics (natural-log domain, single stage set by symmetry):
 
@@ -40,13 +40,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import analysis
 from .errors import NumericsError, ParameterError
-from .system import Scheme, SeedSpec, SnrMatrix, SystemConfig, substream
+from .system import Scheme, SeedSpec, SystemConfig, substream
 
 LN2 = math.log(2.0)
 
@@ -106,31 +105,11 @@ class SharedEstimate:
                               self.covariance[scheme, reference])
 
 
-def inst_rate_mn(group_user_snrs: Sequence[float]) -> float:
-    """Multicast rate of one XOR: log2(1 + worst served SNR)."""
-    snrs = np.asarray(group_user_snrs, dtype=float)
-    if snrs.ndim != 1 or len(snrs) == 0:
-        raise ParameterError("group_user_snrs must be a nonempty 1-D collection")
-    return float(np.log2(1.0 + np.min(snrs)))
-
-
-def inst_rate_acc(stage: Sequence[int], snr) -> float:
-    """Per-user rate of one aggregated stage: the worst group's mean
-    log2(1+SNR) over its members. Reduces to inst_rate_mn when each group
-    has a single user."""
-    mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
-    stage = [int(g) for g in stage]
-    if not all(0 <= g < mat.shape[0] for g in stage) or len(stage) == 0:
-        raise ParameterError(f"stage {stage} invalid for {mat.shape[0]} groups")
-    return float(np.log2(1.0 + mat[stage, :]).mean(axis=1).min())
-
-
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        workers = os.environ.get(WORKERS_ENV_VAR, "1")
+def _worker_count() -> int:
+    workers = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
         count = int(workers)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ParameterError(f"worker count must be an integer, got {workers!r}") from None
     if count < 1:
         raise ParameterError(f"worker count must be >= 1, got {count}")
@@ -278,14 +257,15 @@ def check_run(num_trials, base_seed):
 
 
 def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials: int,
-                     base_seed: int, *, workers=None) -> list:
+                     base_seed: int) -> list:
     """Monte Carlo estimates of the schemes' average sum rates in
     bits/s/Hz at every SNR in `rhos` (linear), one SharedEstimate per SNR,
     all from the same draws.
 
     Deterministic for fixed (gain, users_per_group, widest scheme, rho,
-    num_trials, base_seed) regardless of the worker count and of the other
-    SNRs in `rhos`.
+    num_trials, base_seed) regardless of the worker count, which the
+    CACHECAST_WORKERS environment variable sets, and of the other SNRs in
+    `rhos`.
     """
     schemes = tuple(Scheme.parse(s) for s in schemes)
     rhos = [float(rho) for rho in rhos]
@@ -294,7 +274,7 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     for rho in rhos:
         SystemConfig.from_gain(gain, users_per_group, rho)  # validate the shape
     check_run(num_trials, base_seed)
-    worker_count = _resolve_workers(workers)
+    worker_count = _worker_count()
 
     scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
     columns = sorted(set(scheme_columns.values()))
@@ -336,7 +316,7 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
 
 
 def mc_average_rate(config: SystemConfig, scheme: Scheme, num_trials: int,
-                    base_seed: int, *, workers=None) -> RateEstimate:
+                    base_seed: int) -> RateEstimate:
     """Monte Carlo estimate of the scheme's average sum rate in bits/s/Hz:
     the one-point, one-scheme view of mc_average_rates.
 
@@ -345,8 +325,7 @@ def mc_average_rate(config: SystemConfig, scheme: Scheme, num_trials: int,
     """
     scheme = Scheme.parse(scheme)
     (estimate,) = mc_average_rates(config.nominal_gain, config.users_per_group,
-                                   [config.avg_snr], [scheme], num_trials, base_seed,
-                                   workers=workers)
+                                   [config.avg_snr], [scheme], num_trials, base_seed)
     return estimate.rates[scheme]
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
@@ -25,9 +24,6 @@ import numpy as np
 
 from .errors import ParameterError, UnboundedDelayError
 from .system import Scheme, SnrMatrix, SystemConfig
-
-StageSet = tuple  # ordered tuple of group indices, |stage| == nominal gain
-
 
 @dataclass(frozen=True, order=True)
 class SubfileId:
@@ -64,30 +60,16 @@ class DeliveryTimeline:
     events:          (time, group, user) triples, nondecreasing in time;
                      each group's users finish in round-robin order
     completion_time: time of the last event
-    pointer_history: snapshots (time, pointers) of the per-slot "next user"
-                     vector, one snapshot at start and after every event
     """
 
     events: tuple
     completion_time: float
-    pointer_history: tuple
 
     def jsonl_lines(self):
         """Serialize as JSON-lines: one record per event plus a footer."""
         for ev in self.events:
             yield json.dumps({"t": ev.time, "group": ev.group, "user": ev.user})
         yield json.dumps({"completion_time": self.completion_time})
-
-
-def assign_groups(config: SystemConfig) -> dict:
-    """Fixed block assignment of users to (group, position).
-
-    Users 0..B-1 form group 0, the next B form group 1, and so on. The
-    grouping is decided before demands or channel are known and never
-    changes.
-    """
-    b = config.users_per_group
-    return {k: (k // b, k % b) for k in range(config.num_users)}
 
 
 def placement(config: SystemConfig) -> list:
@@ -111,14 +93,6 @@ def placement(config: SystemConfig) -> list:
         )
         states.append(CacheState(group=g, contents=contents))
     return states
-
-
-def cached_fraction(config: SystemConfig) -> Fraction:
-    """Exact fraction of each file stored per cache: C(L-1,t-1)/C(L,t)."""
-    lam, t = config.num_cache_states, config.cache_subset_size
-    if t == 0:
-        return Fraction(0)
-    return Fraction(math.comb(lam - 1, t - 1), math.comb(lam, t))
 
 
 def enumerate_stages(config: SystemConfig) -> list:
@@ -183,16 +157,9 @@ def acc_stage_timeline(stage: Sequence[int], snr, subfile_size: float) -> Delive
             first = t
         batched.append((first, i, j))
     batched.sort()  # a batch's finishes now share its time, so they sort by slot
-    pointer = [0] * len(groups)      # next user index per slot; == B means done
-    events = []
-    history = [(0.0, tuple(pointer))]
-    for t, i, j in batched:
-        events.append(TimelineEvent(t, groups[i], j))
-        pointer[i] = j + 1
-        history.append((t, tuple(pointer)))
-    return DeliveryTimeline(events=tuple(events),
-                            completion_time=events[-1].time if events else 0.0,
-                            pointer_history=tuple(history))
+    events = tuple(TimelineEvent(t, groups[i], j) for t, i, j in batched)
+    return DeliveryTimeline(events=events,
+                            completion_time=events[-1].time if events else 0.0)
 
 
 def acc_stage_completion_closed_form(stage, snr, subfile_size: float) -> float:

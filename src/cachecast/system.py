@@ -43,8 +43,14 @@ class Scheme(str, Enum):
 
 
 def snr_from_db(rho_db: float) -> float:
-    """Convert an average SNR from dB to linear scale."""
-    return 10.0 ** (float(rho_db) / 10.0)
+    """Convert an average SNR from dB to linear scale, which must be finite."""
+    try:
+        rho = 10.0 ** (float(rho_db) / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise ParameterError(f"rho_db={rho_db} dB gives a non-finite linear SNR")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -107,14 +113,8 @@ class SystemConfig:
         """Ideal multicast speed-up: cache_subset_size + 1 simultaneous groups."""
         return self.cache_subset_size + 1
 
-    @property
-    def cache_size(self) -> float:
-        """Per-cache storage in units of files."""
-        return float(self.cache_fraction) * self.library_size
-
     @classmethod
     def from_gain(cls, nominal_gain: int, users_per_group: int, avg_snr: float,
-                  library_size: int | None = None,
                   num_cache_states: int | None = None) -> "SystemConfig":
         """Topology realizing a target nominal gain.
 
@@ -137,7 +137,7 @@ class SystemConfig:
             num_users=k,
             num_cache_states=states,
             cache_fraction=Fraction(int(nominal_gain) - 1, states),
-            library_size=int(library_size) if library_size is not None else k,
+            library_size=k,
             avg_snr=float(avg_snr),
         )
 
@@ -185,14 +185,6 @@ class SnrMatrix:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "snr", arr)
-
-    @property
-    def num_groups(self) -> int:
-        return self.snr.shape[0]
-
-    @property
-    def users_per_group(self) -> int:
-        return self.snr.shape[1]
 
 
 def sample_snr(config: SystemConfig, seed: SeedSpec) -> SnrMatrix:

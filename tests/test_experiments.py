@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -45,7 +46,8 @@ def test_parse_comma_list_and_aliases():
 
 
 @pytest.mark.parametrize("text", ["rho_db", "foo=1:2:1", "rho_db=1:2:0",
-                                  "rho_db=5:1:1", "b=", "b=x,y"])
+                                  "rho_db=5:1:1", "b=", "b=x,y", "rho_db=0:inf:1",
+                                  "rho_db=0:nan:1", "rho_db=0:10:inf"])
 def test_parse_axis_rejects_malformed_input(text):
     with pytest.raises(ParameterError):
         parse_axis(text)
@@ -65,6 +67,8 @@ def test_spec_rejects_unknown_names():
         ExperimentSpec(axis_name="rho_db", axis_values=(0.0,), analytics=("magic",))
     with pytest.raises(ParameterError):
         ExperimentSpec(axis_name="rho_db", axis_values=(0.0,), schemes=("cdma",))
+    with pytest.raises(ParameterError, match=re.escape("['tdm', 'mn', 'acc', 'mc-ratio']")):
+        ExperimentSpec(axis_name="rho_db", axis_values=(0.0,), schemes=("mc_ratio",))
 
 
 def test_spec_accepts_numpy_axes():
@@ -712,6 +716,17 @@ def test_cli_parameter_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 2
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "rho_db=4000", "--analytics", "exact-mn"],
+    ["validate", "--rho-db", "4000", "--trials", "1000"],
+    ["timeline", "--rho-db", "4000"],
+], ids=["sweep", "validate", "timeline"])
+def test_cli_overflowing_rho_db_is_a_parameter_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "non-finite linear SNR" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_axis_is_a_parameter_error():

@@ -7,13 +7,9 @@ from scipy import integrate, special
 
 from cachecast.errors import ParameterError
 from cachecast.numerics import (
-    QuadratureRule,
-    exp_int_ei,
     exp_scaled_e1,
     gauss_hermite_rule,
     log_char_moment,
-    q_function,
-    regularized_upper_gamma,
     second_moment_log1p,
 )
 
@@ -26,19 +22,22 @@ def ei_oracle(x: float) -> float:
 
 
 # ---------------------------------------------------------------- Ei
+# exp_scaled_e1(a) = exp(a) E1(a) = -exp(a) Ei(-a), so each Ei fact below
+# is checked on the scaled form
 
 def test_ei_at_minus_one_matches_integral_oracle():
     oracle = ei_oracle(-1.0)
     assert oracle == pytest.approx(-0.21938393439552027, abs=1e-11)
-    assert exp_int_ei(-1.0) == pytest.approx(oracle, abs=1e-11)
-    assert exp_int_ei(-1.0) == pytest.approx(-0.21938393439552027, abs=1e-13)
+    value = -math.exp(-1.0) * exp_scaled_e1(1.0)
+    assert value == pytest.approx(oracle, abs=1e-11)
+    assert value == pytest.approx(-0.21938393439552027, abs=1e-13)
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
 def test_ei_sandwich_spot_values(a):
-    value = exp_int_ei(-a)
-    assert -math.exp(-a) * math.log1p(1.0 / a) < value
-    assert value < -0.5 * math.exp(-a) * math.log1p(2.0 / a)
+    # ln(1+2/a)/2 < -exp(a) Ei(-a) < ln(1+1/a)
+    scaled = exp_scaled_e1(a)
+    assert 0.5 * math.log1p(2.0 / a) < scaled < math.log1p(1.0 / a)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
@@ -47,25 +46,21 @@ def test_ei_sandwich_property(a):
     # underflows to subnormals: ln(1+2/a)/2 < -exp(a) Ei(-a) < ln(1+1/a)
     scaled = exp_scaled_e1(a)
     assert 0.5 * math.log1p(2.0 / a) < scaled < math.log1p(1.0 / a)
-    if a < 500:
-        value = exp_int_ei(-a)
-        assert -math.exp(-a) * math.log1p(1.0 / a) < value < 0.0
-        assert value < -0.5 * math.exp(-a) * math.log1p(2.0 / a)
 
 
 def test_ei_vanishes_in_the_far_tail():
-    assert abs(exp_int_ei(-100.0)) < 1e-40
+    assert math.exp(-100.0) * exp_scaled_e1(100.0) < 1e-40
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, float("inf"), float("nan")])
 def test_ei_rejects_nonnegative_arguments(x):
     with pytest.raises(ParameterError):
-        exp_int_ei(x)
+        exp_scaled_e1(-x)
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.05, 0.5, 2.0, 7.0, 9.999, 10.001, 30.0, 300.0])
 def test_ei_against_scipy(a):
-    assert exp_int_ei(-a) == pytest.approx(float(special.expi(-a)), rel=5e-8, abs=1e-13)
+    assert exp_scaled_e1(a) == pytest.approx(-math.exp(a) * float(special.expi(-a)), rel=5e-8)
 
 
 @pytest.mark.parametrize("a", [0.01, 1.0, 9.0, 11.0, 100.0, 1e4])
@@ -92,63 +87,71 @@ def test_exp_scaled_e1_never_overflows():
 
 
 # ---------------------------------------------------------------- Q function
+# the expected-extreme constant H takes the Gaussian tail Q(y) = Phi(-y) as
+# exp(log_ndtr(-y)), in analysis._h_integral and _h_ghq
+
+def gaussian_tail(y):
+    return math.exp(special.log_ndtr(-y))
+
 
 def test_q_at_zero_is_half():
-    assert q_function(0.0) == 0.5
+    assert gaussian_tail(0.0) == 0.5
 
 
 @pytest.mark.parametrize("y", [-3.0, 0.7, 5.0])
 def test_q_complementarity(y):
-    assert q_function(y) + q_function(-y) == pytest.approx(1.0, abs=1e-15)
+    assert gaussian_tail(y) + gaussian_tail(-y) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(st.floats(min_value=-8, max_value=8))
 def test_q_symmetry_and_range(y):
-    q = q_function(y)
+    q = gaussian_tail(y)
     assert 0.0 <= q <= 1.0
-    assert q + q_function(-y) == pytest.approx(1.0, abs=1e-14)
+    assert q + gaussian_tail(-y) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_q_tail_decile_matches_density_integration():
     oracle, err = integrate.quad(
         lambda u: math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi), 1.2816, np.inf)
     assert err < 1e-9
-    assert q_function(1.2816) == pytest.approx(oracle, abs=1e-10)
-    assert q_function(1.2816) == pytest.approx(0.1000, abs=1e-4)
+    assert gaussian_tail(1.2816) == pytest.approx(oracle, abs=1e-10)
+    assert gaussian_tail(1.2816) == pytest.approx(0.1000, abs=1e-4)
 
 
 def test_q_strictly_decreasing_on_grid():
     grid = np.linspace(-6, 6, 200)
-    values = [q_function(y) for y in grid]
+    values = [gaussian_tail(y) for y in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------- Gauss-Hermite
 
 def test_rule_of_order_one_is_the_zeroth_moment_rule():
-    rule = gauss_hermite_rule(1)
-    assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
-    assert rule.weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    nodes, weights = gauss_hermite_rule(1)
+    assert nodes[0] == pytest.approx(0.0, abs=1e-15)
+    assert weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 7, 16, 33, 64])
 def test_weights_sum_to_zeroth_gaussian_moment(order):
-    rule = gauss_hermite_rule(order)
-    assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    nodes, weights = gauss_hermite_rule(order)
+    assert len(nodes) == len(weights) == order
+    assert np.all(weights > 0)
+    np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-12)
+    assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_second_moment_with_seven_nodes():
-    rule = gauss_hermite_rule(7)
-    assert rule.integrate(lambda x: x * x) == pytest.approx(
-        math.sqrt(math.pi) / 2.0, rel=1e-10)
+    nodes, weights = gauss_hermite_rule(7)
+    assert np.sum(weights * nodes ** 2) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("order", [2, 5, 8, 16, 32, 64])
 def test_even_gaussian_moments_up_to_exactness_degree(order):
-    rule = gauss_hermite_rule(order)
+    nodes, weights = gauss_hermite_rule(order)
     for m in range(order):  # degree 2m <= 2*order - 1
         exact = math.gamma(m + 0.5)
-        assert rule.integrate(lambda x, m=m: x ** (2 * m)) == pytest.approx(
+        assert np.sum(weights * nodes ** (2 * m)) == pytest.approx(
             exact, rel=1e-9), f"moment 2m={2 * m} at order {order}"
 
 
@@ -157,19 +160,6 @@ def test_rule_order_bounds(order):
     with pytest.raises(ParameterError):
         gauss_hermite_rule(order)
 
-
-def test_rule_arrays_are_read_only():
-    rule = gauss_hermite_rule(5)
-    with pytest.raises(ValueError):
-        rule.nodes[0] = 1.0
-    with pytest.raises(ValueError):
-        rule.weights[0] = 1.0
-
-
-def test_rule_validation_rejects_asymmetric_nodes():
-    with pytest.raises(ParameterError):
-        QuadratureRule(order=2, nodes=np.array([0.0, 1.0]),
-                       weights=np.array([1.0, math.sqrt(math.pi) - 1.0]))
 
 
 # ---------------------------------------------------------------- CF of ln(1+SNR)
@@ -263,44 +253,39 @@ def test_second_moment_domain():
 
 
 # ---------------------------------------------------------------- incomplete gamma
+# psi integrates the Gamma(b, 1) survival Q(b, x) from scipy's gammaincc (and
+# 1 - gammainc where Q is near 1); its 1e-13 relative budget rests on these
 
 @given(st.floats(min_value=0.0, max_value=50.0))
 def test_shape_one_is_the_exponential_survival(x):
-    assert regularized_upper_gamma(1, x) == pytest.approx(math.exp(-x), rel=1e-12)
+    assert special.gammaincc(1, x) == pytest.approx(math.exp(-x), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [1, 2, 5, 40])
 def test_full_mass_at_zero(shape):
-    assert regularized_upper_gamma(shape, 0.0) == 1.0
+    assert special.gammaincc(shape, 0.0) == 1.0
+    assert special.gammainc(shape, 0.0) == 0.0
 
 
 def test_two_term_finite_sum_value():
-    assert regularized_upper_gamma(2, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
-    assert regularized_upper_gamma(2, 1.0) == pytest.approx(0.7357588823428847, rel=1e-12)
+    assert special.gammaincc(2, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
+    assert special.gammaincc(2, 1.0) == pytest.approx(0.7357588823428847, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [1, 2, 3, 8, 25, 64])
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 7.5, 40.0, 200.0])
 def test_matches_scipy_survival(shape, x):
-    # the code is scipy's gammaincc, so the oracle is mpmath
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         expected = float(mpmath.gammainc(shape, x, regularized=True))
-    assert regularized_upper_gamma(shape, x) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+    assert special.gammaincc(shape, x) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
 @given(st.integers(min_value=1, max_value=30),
        st.floats(min_value=0.0, max_value=80.0),
        st.floats(min_value=0.01, max_value=10.0))
 def test_survival_is_decreasing_in_x(shape, x, dx):
-    hi = regularized_upper_gamma(shape, x + dx)
-    lo = regularized_upper_gamma(shape, x)
+    hi = special.gammaincc(shape, x + dx)
+    lo = special.gammaincc(shape, x)
     assert hi <= lo + 1e-12
     assert 0.0 <= hi <= 1.0
-
-
-def test_gamma_parameter_errors():
-    with pytest.raises(ParameterError):
-        regularized_upper_gamma(0, 1.0)
-    with pytest.raises(ParameterError):
-        regularized_upper_gamma(2, -0.1)

@@ -15,59 +15,65 @@ from cachecast.rates import (
     CHUNK_TRIALS,
     RateEstimate,
     effective_gain,
-    inst_rate_acc,
-    inst_rate_mn,
     mc_average_rate,
     mc_average_rates,
     trial_rates,
 )
 from cachecast.system import (
-    Scheme, SeedSpec, SnrMatrix, SystemConfig, sample_snr, substream)
+    Scheme, SeedSpec, SystemConfig, sample_snr, substream)
 
 LN2 = math.log(2.0)
 
 
-# ---------------------------------------------------------------- instantaneous metrics
+# ---------------------------------------------------------------- per-trial metrics
+
+def stage_rate(snr):
+    """The estimator's per-trial metric of one realization, in bits/s/Hz per
+    user: the worst group's mean log2(1+SNR), from rates._log_metrics on a
+    one-trial chunk whose (groups, users) SNRs are the exponentials at rho 1."""
+    snr = np.asarray(snr, dtype=float)
+    groups, users = snr.shape
+    e = np.zeros((1, users, BLOCK_TRIALS, groups))
+    e[0, :, 0, :] = snr.T
+    (values,) = rates._log_metrics(e, 1.0, [(groups, users)], 1)
+    return float(values[0]) / LN2
+
 
 def test_mn_rate_unit_case():
-    assert inst_rate_mn([1.0, 1.0]) == pytest.approx(1.0, rel=1e-15)
+    assert stage_rate([[1.0], [1.0]]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_mn_rate_zero_snr_floor():
-    assert inst_rate_mn([3.0, 0.0]) == 0.0
+    assert stage_rate([[3.0], [0.0]]) == 0.0
 
 
 def test_mn_rate_spot_value():
-    assert inst_rate_mn([7.0, 3.0, 15.0]) == pytest.approx(2.0, rel=1e-15)
+    assert stage_rate([[7.0], [3.0], [15.0]]) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_acc_rate_single_user_reduction():
     rng = np.random.default_rng(8)
     for _ in range(200):
-        snr = SnrMatrix(snr=rng.exponential(1.0, size=(5, 1)))
-        stage = (0, 1, 2, 3, 4)
-        assert inst_rate_acc(stage, snr) == pytest.approx(
-            inst_rate_mn(snr.snr[:, 0]), rel=1e-14)
+        snr = rng.exponential(1.0, size=(5, 1))
+        assert stage_rate(snr) == pytest.approx(np.log2(1.0 + snr.min()), rel=1e-14)
 
 
 def test_acc_rate_symmetric_case_is_shape_independent():
     for shape in [(2, 3), (4, 1), (3, 7)]:
-        snr = SnrMatrix(snr=np.full(shape, 1.0))
-        assert inst_rate_acc(tuple(range(shape[0])), snr) == pytest.approx(1.0, rel=1e-14)
+        assert stage_rate(np.full(shape, 1.0)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_acc_rate_worked_example_table():
-    rates = np.array([[1.0, 0.25, 0.2], [0.2, 1.0, 0.25], [0.25, 1.0, 0.2]])
-    snr = SnrMatrix(snr=2.0 ** rates - 1.0)
-    assert inst_rate_acc((0, 1, 2), snr) == pytest.approx(29.0 / 60.0, rel=1e-12)
+    table = np.array([[1.0, 0.25, 0.2], [0.2, 1.0, 0.25], [0.25, 1.0, 0.2]])
+    assert stage_rate(2.0 ** table - 1.0) == pytest.approx(29.0 / 60.0, rel=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31))
 def test_acc_dominates_nothing_but_uses_min_over_groups(seed):
     rng = np.random.default_rng(seed)
-    snr = SnrMatrix(snr=rng.exponential(1.0, size=(3, 4)))
-    per_group = np.log2(1 + snr.snr).mean(axis=1)
-    assert inst_rate_acc((0, 1, 2), snr) == pytest.approx(per_group.min(), rel=1e-14)
+    snr = rng.exponential(1.0, size=(3, 4))
+    per_group = np.log2(1 + snr).mean(axis=1)
+    assert stage_rate(snr) == pytest.approx(per_group.min(), rel=1e-14)
 
 
 # ---------------------------------------------------------------- Monte Carlo estimator
@@ -94,10 +100,12 @@ def test_single_user_groups_make_metrics_identical_per_trial():
     assert np.array_equal(acc, mn)
 
 
-def test_estimates_are_deterministic_across_worker_counts():
+def test_estimates_are_deterministic_across_worker_counts(monkeypatch):
     config = SystemConfig.from_gain(3, 2, avg_snr=2.0)
-    one = mc_average_rate(config, Scheme.ACC, 50_000, base_seed=5, workers=1)
-    eight = mc_average_rate(config, Scheme.ACC, 50_000, base_seed=5, workers=8)
+    monkeypatch.setenv("CACHECAST_WORKERS", "1")
+    one = mc_average_rate(config, Scheme.ACC, 50_000, base_seed=5)
+    monkeypatch.setenv("CACHECAST_WORKERS", "8")
+    eight = mc_average_rate(config, Scheme.ACC, 50_000, base_seed=5)
     assert one == eight
 
 
@@ -125,7 +133,7 @@ def test_mean_rate_nonincreasing_in_gain_pathwise():
     for trial in range(400):
         snr = sample_snr(config, SeedSpec(base_seed=88, trial_index=trial))
         for gain in totals:
-            totals[gain] += inst_rate_acc(tuple(range(gain)), snr)
+            totals[gain] += stage_rate(snr.snr[:gain])
     assert totals[2] >= totals[4] >= totals[6]
 
 
@@ -255,9 +263,9 @@ def test_high_snr_gain_matches_the_exact_ratio():
 SHAPE = (4, 3)  # gain, users per group
 
 
-def _shared(rhos_db, seed, trials=2000, schemes=("tdm", "mn", "acc"), **kwargs):
+def _shared(rhos_db, seed, trials=2000, schemes=("tdm", "mn", "acc")):
     return mc_average_rates(*SHAPE, [10.0 ** (v / 10.0) for v in rhos_db], schemes,
-                            trials, seed, **kwargs)
+                            trials, seed)
 
 
 def test_an_estimate_does_not_depend_on_the_other_snrs_or_narrower_schemes():
@@ -274,9 +282,12 @@ def test_tdm_over_itself_has_gain_one_and_no_error():
         assert gain.value == 1.0 and gain.std_err == 0.0
 
 
-def test_shared_estimates_are_identical_across_worker_counts():
-    one, two, eight = (_shared((-20.0, 0.0, 20.0), seed=5, trials=30_000, workers=w)
-                       for w in (1, 2, 8))
+def test_shared_estimates_are_identical_across_worker_counts(monkeypatch):
+    runs = []
+    for workers in ("1", "2", "8"):
+        monkeypatch.setenv("CACHECAST_WORKERS", workers)
+        runs.append(_shared((-20.0, 0.0, 20.0), seed=5, trials=30_000))
+    one, two, eight = runs
     assert one == two == eight
 
 

@@ -13,8 +13,6 @@ from cachecast.scheduling import (
     SubfileId,
     acc_stage_completion_closed_form,
     acc_stage_timeline,
-    assign_groups,
-    cached_fraction,
     enumerate_stages,
     full_session_delay,
     mn_stage_delay,
@@ -27,26 +25,6 @@ from cachecast.experiments import example2_stage
 
 def config_for(gain, users_per_group, rho=1.0):
     return SystemConfig.from_gain(gain, users_per_group, rho)
-
-
-# ---------------------------------------------------------------- grouping
-
-def test_block_assignment():
-    config = SystemConfig(num_users=6, num_cache_states=3, cache_fraction=Fraction(1, 3),
-                          library_size=6, avg_snr=1.0)
-    mapping = assign_groups(config)
-    assert mapping[3] == (1, 1)   # fourth user opens the second group's slot 1
-    assert mapping[0] == (0, 0)
-    groups = {}
-    for user, (group, position) in mapping.items():
-        groups.setdefault(group, set()).add(position)
-    assert all(positions == {0, 1} for positions in groups.values())
-
-
-def test_dedicated_caches_assignment_is_identity_like():
-    config = SystemConfig(num_users=3, num_cache_states=3, cache_fraction=Fraction(1, 3),
-                          library_size=3, avg_snr=1.0)
-    assert assign_groups(config) == {0: (0, 0), 1: (1, 0), 2: (2, 0)}
 
 
 # ---------------------------------------------------------------- placement
@@ -80,14 +58,17 @@ def test_placement_four_states_half():
     for state in states:
         mine = [s for s in state.contents if s.file == 0]
         assert len(mine) == 3  # C(3,1) of the 6 segments
-    assert cached_fraction(config) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("lam,t", [(3, 1), (5, 2), (6, 3), (8, 4)])
 def test_cached_fraction_equals_cache_fraction(lam, t):
+    # every cache stores C(lam-1, t-1) of each file's C(lam, t) segments
     config = SystemConfig(num_users=lam, num_cache_states=lam,
                           cache_fraction=Fraction(t, lam), library_size=lam, avg_snr=1.0)
-    assert cached_fraction(config) == Fraction(t, lam)
+    for state in placement(config):
+        for n in range(lam):
+            stored = sum(1 for s in state.contents if s.file == n)
+            assert Fraction(stored, math.comb(lam, t)) == Fraction(t, lam)
 
 
 # ---------------------------------------------------------------- stages
@@ -155,8 +136,8 @@ def fluid_event_loop(stage, snr, subfile_size):
     form: at every instant the active user of each unfinished group gains
     decoded data at its own rate; when it reaches subfile_size the group's
     pointer advances. Finishes within 1e-12 of the step are simultaneous and
-    processed in ascending slot order. Returns (events, pointer_history) as
-    lists of (time, group, user) and (time, pointers)."""
+    processed in ascending slot order. Returns the events as a list of
+    (time, group, user)."""
     rates = np.log2(1.0 + snr.snr[list(stage), :])
     users_per_group = rates.shape[1]
     pointer = [0] * len(stage)
@@ -164,7 +145,6 @@ def fluid_event_loop(stage, snr, subfile_size):
     active = list(range(len(stage)))
     now = 0.0
     events = []
-    history = [(0.0, tuple(pointer))]
     while active:
         remaining = [(subfile_size - progress[i]) / float(rates[i, pointer[i]])
                      for i in active]
@@ -178,19 +158,16 @@ def fluid_event_loop(stage, snr, subfile_size):
             events.append((now, stage[i], pointer[i]))
             pointer[i] += 1
             progress[i] = 0.0
-            history.append((now, tuple(pointer)))
         active = [i for i in active if pointer[i] < users_per_group]
-    return events, history
+    return events
 
 
 def assert_matches_fluid_event_loop(stage, snr, subfile_size):
     timeline = acc_stage_timeline(stage, snr, subfile_size)
-    events, history = fluid_event_loop(stage, snr, subfile_size)
+    events = fluid_event_loop(stage, snr, subfile_size)
     assert [(ev.group, ev.user) for ev in timeline.events] == [(g, b) for _, g, b in events]
-    assert [p for _, p in timeline.pointer_history] == [p for _, p in history]
-    times = [ev.time for ev in timeline.events] + [t for t, _ in timeline.pointer_history]
-    expected = [t for t, _, _ in events] + [t for t, _ in history]
-    assert times == pytest.approx(expected, rel=1e-12, abs=0.0)
+    times = [ev.time for ev in timeline.events]
+    assert times == pytest.approx([t for t, _, _ in events], rel=1e-12, abs=0.0)
     assert timeline.completion_time == pytest.approx(events[-1][0], rel=1e-12)
 
 
@@ -289,14 +266,6 @@ def test_conservation_every_user_gets_exactly_one_segment():
         rate = math.log2(1.0 + snr.snr[ev.group, ev.user])
         assert (ev.time - started) * rate == pytest.approx(size, rel=1e-9)
         finish[(ev.group, ev.user)] = ev.time
-
-
-def test_pointer_history_tracks_every_event():
-    stage, snr, size = example2_stage()
-    timeline = acc_stage_timeline(stage, snr, size)
-    assert timeline.pointer_history[0] == (0.0, (0, 0, 0))
-    assert timeline.pointer_history[-1][1] == (3, 3, 3)
-    assert len(timeline.pointer_history) == len(timeline.events) + 1
 
 
 def test_jsonl_serialization_round_trip(tmp_path):

@@ -33,7 +33,6 @@ def test_derived_quantities():
     assert config.users_per_group == 2
     assert config.cache_subset_size == 1
     assert config.nominal_gain == 2
-    assert config.cache_size == pytest.approx(2.0)
 
 
 def test_from_gain_builds_minimal_topology():
@@ -76,6 +75,9 @@ def test_snr_from_db():
     assert snr_from_db(0.0) == 1.0
     assert snr_from_db(10.0) == pytest.approx(10.0)
     assert snr_from_db(-30.0) == pytest.approx(1e-3)
+    for rho_db in (4000.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            snr_from_db(rho_db)
 
 
 # ---------------------------------------------------------------- seeding
