@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import interpolate, special
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_int, check_positive
 from .numerics import (
     _checked_quad,
     exp_scaled_e1,
@@ -40,16 +40,6 @@ LOW_SNR_ACC_MULTINOMIAL = "low-snr-acc-multinomial"
 LARGE_B_NORMAL = "large-b-normal"
 LARGE_B_RATIO_LIMIT = "large-b-ratio-limit"
 LOW_SNR_RATIO_LIMIT = "low-snr-ratio-limit"
-
-APPROX_METHODS = (
-    EXACT_MN,
-    EXACT_ACC_INTEGRAL,
-    LOW_SNR_MN,
-    LOW_SNR_ACC_MULTINOMIAL,
-    LARGE_B_NORMAL,
-    LARGE_B_RATIO_LIMIT,
-    LOW_SNR_RATIO_LIMIT,
-)
 
 # evaluation methods for the expected-extreme constant H
 H_TABLE = "table"
@@ -70,20 +60,6 @@ class ApproxResult:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise NumericsError(f"{self.method} evaluated to a non-finite value")
-        if self.method not in APPROX_METHODS:
-            raise ParameterError(f"unknown method {self.method!r}")
-
-
-def _check_rho(rho):
-    if not (rho > 0) or not math.isfinite(rho):
-        raise ParameterError(f"rho must be positive and finite, got {rho}")
-    return float(rho)
-
-
-def _check_positive_int(value, name, minimum=1):
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +68,12 @@ def _check_positive_int(value, name, minimum=1):
 
 def mean_log1p_snr(rho: float) -> float:
     """E[ln(1+SNR)] = exp(1/rho) E1(1/rho) for SNR ~ Exp(mean rho)."""
-    return exp_scaled_e1(1.0 / _check_rho(rho))
+    return exp_scaled_e1(1.0 / check_positive(rho, "rho"))
 
 
 def std_log1p_snr(rho: float) -> float:
     """Standard deviation of ln(1+SNR); strictly positive for rho > 0."""
-    rho = _check_rho(rho)
+    rho = check_positive(rho, "rho")
     mu = mean_log1p_snr(rho)
     var = second_moment_log1p(rho) - mu * mu
     if var <= 0:
@@ -116,8 +92,8 @@ def exact_mn_rate(rho: float, gain: int) -> ApproxResult:
     (gain/ln 2) exp(gain/rho) E1(gain/rho). Setting gain=1 yields the TDM
     rate. Evaluated in scaled form, so extreme gain/rho never overflows.
     """
-    rho = _check_rho(rho)
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    gain = check_int(gain, "gain")
     value = gain / LN2 * exp_scaled_e1(gain / rho)
     return ApproxResult(value=value, method=EXACT_MN)
 
@@ -128,16 +104,16 @@ def mn_gain_exact(rho: float, gain: int) -> float:
     Lies in (1, gain) for finite rho, approaches gain only as rho grows
     (logarithmically slowly) and collapses to 1 as rho -> 0.
     """
-    rho = _check_rho(rho)
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    gain = check_int(gain, "gain")
     return gain * exp_scaled_e1(gain / rho) / exp_scaled_e1(1.0 / rho)
 
 
 def mn_rate_low_snr(rho: float, gain: int) -> ApproxResult:
     """Second-order low-SNR expansion of the XOR rate, free of special
     functions; reliable well into the medium-SNR region."""
-    rho = _check_rho(rho)
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    gain = check_int(gain, "gain")
     x = rho / gain
     value = gain / LN2 * (math.log1p(x) - x * x / (2.0 * (1.0 + x) ** 2))
     return ApproxResult(value=value, method=LOW_SNR_MN)
@@ -164,8 +140,8 @@ def psi(gain: int, users_per_group: int) -> float:
     as exp(gain * log1p(-P)), P = 1 - Q computed directly, so a large gain
     does not amplify the rounding of Q.
     """
-    g = _check_positive_int(gain, "gain")
-    b = _check_positive_int(users_per_group, "users_per_group")
+    g = check_int(gain, "gain")
+    b = check_int(users_per_group, "users_per_group")
 
     def survival(x):
         p = special.gammainc(b, x)
@@ -184,9 +160,9 @@ def psi(gain: int, users_per_group: int) -> float:
 def acc_rate_low_snr(rho: float, users_per_group: int, gain: int) -> ApproxResult:
     """First-order low-SNR aggregated rate:
     rho * gain / (users_per_group ln 2) * psi."""
-    rho = _check_rho(rho)
-    b = _check_positive_int(users_per_group, "users_per_group")
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    b = check_int(users_per_group, "users_per_group")
+    gain = check_int(gain, "gain")
     value = rho * gain / (b * LN2) * psi(gain, b)
     return ApproxResult(value=value, method=LOW_SNR_ACC_MULTINOMIAL)
 
@@ -195,8 +171,8 @@ def acc_over_mn_low_snr(gain: int, users_per_group: int) -> float:
     """Low-SNR limit of the aggregated-to-XOR rate ratio:
     (gain/users_per_group) * psi. Equals 1 for a single user per group and
     climbs toward `gain` as the group size grows."""
-    b = _check_positive_int(users_per_group, "users_per_group")
-    gain = _check_positive_int(gain, "gain")
+    b = check_int(users_per_group, "users_per_group")
+    gain = check_int(gain, "gain")
     return gain / b * psi(gain, b)
 
 
@@ -210,8 +186,8 @@ def acc_over_mn_large_b(rho: float, gain: int) -> float:
 
     Equals the TDM-to-single-served-user ratio gain * R_tdm / R_mn; lies in
     [1, gain], approaching gain as rho -> 0."""
-    rho = _check_rho(rho)
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    gain = check_int(gain, "gain")
     return exp_scaled_e1(1.0 / rho) / exp_scaled_e1(gain / rho)
 
 
@@ -280,7 +256,7 @@ def h_order_stat(gain: int, method: str = H_AUTO, ghq_order: int = 7) -> float:
     gain <= 20, 3.1e-4 at gain 100 and 2.0e-3 at gain 1e4; gains 1 and 2
     are exact. The asymptote is loose until gain is very large.
     """
-    gain = _check_positive_int(gain, "gain")
+    gain = check_int(gain, "gain")
     if method not in H_METHODS:
         raise ParameterError(f"unknown H method {method!r}; expected one of {H_METHODS}")
     if method == H_AUTO:
@@ -305,9 +281,9 @@ def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
     Converges to (gain/ln 2) mu as the group size grows; accurate to a few
     percent already around ten users per group.
     """
-    rho = _check_rho(rho)
-    b = _check_positive_int(users_per_group, "users_per_group", minimum=2)
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    b = check_int(users_per_group, "users_per_group", minimum=2)
+    gain = check_int(gain, "gain")
     mu = mean_log1p_snr(rho)
     sigma = std_log1p_snr(rho)
     h = h_order_stat(gain, h_method)
@@ -479,8 +455,8 @@ def _inversion(rho: float, users_per_group: int) -> _MinSumInversion:
 def capacity_sum_cdf(y: float, rho: float, users_per_group: int) -> float:
     """CDF of the per-group sum of ln(1+SNR) over `users_per_group` i.i.d.
     Rayleigh-faded links, by characteristic-function inversion."""
-    rho = _check_rho(rho)
-    b = _check_positive_int(users_per_group, "users_per_group", minimum=2)
+    rho = check_positive(rho, "rho")
+    b = check_int(users_per_group, "users_per_group", minimum=2)
     if y <= 0:
         return 0.0
     return 1.0 - _inversion(rho, b).survival_clipped(float(y))
@@ -495,10 +471,15 @@ def acc_rate_exact_integral(rho: float, users_per_group: int, gain: int) -> Appr
     Requires at least two users per group: with one, the closed form
     exact_mn_rate applies and the inversion integrand would decay too
     slowly to be worth inverting.
+
+    Measured domain at (users_per_group, gain) = (2, 2): -30 dB converges
+    (94 s on a 2-core host), while -40 dB and 60 dB raise NumericsError in
+    the expected-minimum quadrature, so the inversion does not span
+    -40..60 dB.
     """
-    rho = _check_rho(rho)
-    b = _check_positive_int(users_per_group, "users_per_group", minimum=2)
-    gain = _check_positive_int(gain, "gain")
+    rho = check_positive(rho, "rho")
+    b = check_int(users_per_group, "users_per_group", minimum=2)
+    gain = check_int(gain, "gain")
     expected_min = _inversion(rho, b).expected_min(gain)
     value = gain / (b * LN2) * expected_min
     return ApproxResult(value=value, method=EXACT_ACC_INTEGRAL)

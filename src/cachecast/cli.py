@@ -107,7 +107,8 @@ def _split_list(value):
 
 def _sweep_spec(args):
     """(spec, output path, format) from config-file keys overridden by flags;
-    anything unset or null keeps its default: ExperimentSpec's, stdout, CSV."""
+    anything unset or null keeps its default: ExperimentSpec's, stdout, CSV.
+    Setting the swept field as well, by flag or key, is a ParameterError."""
     settings = {}
     if args.config:
         try:
@@ -134,6 +135,8 @@ def _sweep_spec(args):
     if axis is None:
         raise ParameterError("a sweep axis is required (--axis or config file)")
     axis_name, axis_values = parse_axis(str(axis))
+    if axis_name in settings:
+        raise ParameterError(f"{axis_name} is the sweep axis, so it cannot also be fixed")
     for key in ("schemes", "analytics"):
         if key in settings:
             settings[key] = _split_list(settings[key])

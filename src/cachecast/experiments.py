@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 
 from . import analysis
-from .errors import CachecastError, ParameterError
+from .errors import CachecastError, ParameterError, check_int
 from .rates import check_run, mc_average_rate, mc_average_rates, trial_rates
 from .scheduling import (
     acc_stage_timeline,
@@ -45,6 +45,7 @@ from .system import (
     SeedSpec,
     SnrMatrix,
     SystemConfig,
+    exponentials,
     sample_snr,
     snr_cdf,
     snr_from_db,
@@ -124,7 +125,8 @@ def _mc_row(name):
 class ExperimentSpec:
     """One sweep: a single axis, fixed topology parameters, and the set of
     Monte Carlo rows (schemes, or mc-ratio) and closed forms to evaluate at
-    every point."""
+    every point. Trial count and seed are checked as for a Monte Carlo
+    estimate (rates.check_run) even without one, whatever rows it holds."""
 
     axis_name: str
     axis_values: tuple
@@ -163,6 +165,7 @@ class ExperimentSpec:
         object.__setattr__(self, "analytics", tuple(normalized))
         if not self.schemes and not self.analytics:
             raise ParameterError("select at least one scheme or analytic")
+        check_run(self.num_trials, self.base_seed)
 
     def point(self, value):
         """Fixed parameters at one swept value: (rho, users_per_group, gain)."""
@@ -227,7 +230,6 @@ def parse_axis(text: str):
 
 
 def _derived_seed(base_seed: int, point_index: int, kind: str) -> int:
-    SeedSpec(base_seed=base_seed)  # a bad seed is a ParameterError
     # crc32 keeps the derivation stable across processes (unlike hash())
     entropy = (int(base_seed), int(point_index), zlib.crc32(kind.encode()))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
@@ -253,10 +255,10 @@ def _mc_estimates(spec):
     """Shared Monte Carlo estimate of every point, by point index. Points
     with the same (gain, users_per_group) shape are one estimation, logged
     with its time: one draw per chunk serves all their SNRs and every
-    scheme, TDM always included as the gain reference. A bad trial count or
-    seed fails the sweep; any other CachecastError stands in for the
-    estimate of its shape's points, whose rows become error rows. The log
-    record also gives the throughput, trials times SNRs per second."""
+    scheme, TDM always included as the gain reference. A CachecastError
+    stands in for the estimate of its shape's points, whose rows become
+    error rows. The log record also gives the throughput, trials times SNRs
+    per second."""
     shapes = {}
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
@@ -265,7 +267,6 @@ def _mc_estimates(spec):
         shapes.setdefault((gain, users_per_group), []).append((index, rho))
     if not spec.schemes:
         return {}
-    check_run(spec.num_trials, spec.base_seed)
     # TDM is the gain reference; mc-ratio reads ACC and MN
     schemes = tuple(dict.fromkeys(["tdm"] + [
         scheme for name in spec.schemes
@@ -496,10 +497,9 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
     tol_scale multiplies every tolerance: 1.0 is the calibrated default,
     0.0 makes statistical checks impossible to pass (harness self-test).
     """
-    if tol_scale < 0:
-        raise ParameterError("tol_scale must be nonnegative")
-    if num_trials < 1000:
-        raise ParameterError("validation needs at least 1000 trials")
+    if not 0 <= tol_scale < math.inf:
+        raise ParameterError(f"tol_scale must be finite and nonnegative, got {tol_scale}")
+    n = check_int(num_trials, "num_trials", minimum=1000)
     checks = []
     rho = config.avg_snr
     gain = config.nominal_gain
@@ -511,8 +511,7 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
                                   detail=detail))
 
     # exponential sampling: mean and CDF spot value
-    n = int(num_trials)
-    draws = -rho * np.log1p(-rng.random(n))
+    draws = exponentials(rng, n, rho)
     add("snr-sample-mean", abs(draws.mean() - rho),
         4.0 * rho / math.sqrt(n) * tol_scale, "law of large numbers, 4 sigma")
     p = snr_cdf(rho, rho)
@@ -521,7 +520,7 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
 
     # worst-of-gain SNR is exponential with mean rho/gain
     m = min(n, 100_000)
-    mins = (-rho * np.log1p(-rng.random((m, gain)))).min(axis=1)
+    mins = exponentials(rng, (m, gain), rho).min(axis=1)
     mins.sort()
     ks = _ks_statistic(mins, 1.0 - np.exp(-mins * gain / rho))
     # the 1.628/sqrt(m) limits and the p-values both come from the asymptotic
@@ -531,7 +530,7 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
 
     # per-group capacity-sum structure: sum of B exponentials ~ Gamma(B, rho)
     b = config.users_per_group
-    sums = (-rho * np.log1p(-rng.random((m, b)))).sum(axis=1)
+    sums = exponentials(rng, (m, b), rho).sum(axis=1)
     sums.sort()
     gamma_cdf = special.gammainc(b, sums / rho)
     ks = _ks_statistic(sums, gamma_cdf)
@@ -582,12 +581,12 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
             f"{total} (stage, slot, peer) membership checks")
 
     # Monte Carlo estimators vs closed forms
-    mc_tdm = mc_average_rate(config, Scheme.TDM, max(num_trials, 10_000),
+    mc_tdm = mc_average_rate(config, Scheme.TDM, max(n, 10_000),
                              _derived_seed(base_seed, 0, "validate-tdm"))
     exact_tdm = analysis.exact_mn_rate(rho, 1).value
     add("mc-tdm-vs-exact", abs(mc_tdm.mean - exact_tdm),
         4.0 * mc_tdm.std_err * tol_scale, "4 standard errors")
-    mc_mn = mc_average_rate(config, Scheme.MN, max(num_trials, 10_000),
+    mc_mn = mc_average_rate(config, Scheme.MN, max(n, 10_000),
                             _derived_seed(base_seed, 0, "validate-mn"))
     exact_mn = analysis.exact_mn_rate(rho, gain).value
     add("mc-mn-vs-exact", abs(mc_mn.mean - exact_mn),
@@ -611,7 +610,7 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
                   for g in range(1, 6))
     add("h-table-vs-integral", worst_h, 1e-8 * tol_scale)
 
-    return ValidationReport(config=config, num_trials=num_trials,
+    return ValidationReport(config=config, num_trials=n,
                             base_seed=base_seed, tol_scale=tol_scale,
                             checks=tuple(checks))
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_int, check_positive
 
 #: Default absolute-tolerance budget for adaptive quadratures.
 QUAD_ABS_TOL = 1e-10
@@ -85,8 +85,7 @@ def exp_scaled_e1(a: float) -> float:
     This is the building block of every closed-form average rate: for
     Z ~ Exp(mean theta) one has E[ln(1+Z)] = exp(1/theta) E1(1/theta).
     """
-    if not (a > 0) or not math.isfinite(a):
-        raise ParameterError(f"exp_scaled_e1 requires a > 0, got {a}")
+    check_positive(a, "exp_scaled_e1 argument a")
     if a < _E1_CF_CROSSOVER:
         return math.exp(a) * float(special.exp1(a))
     return _e1_cf_scaled(a)
@@ -104,10 +103,8 @@ def gauss_hermite_rule(order: int):
     polynomial; the rule is exact for polynomials of degree 2*order-1
     against exp(-x^2).
     """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= _MAX_GH_ORDER:
-        raise ParameterError(
-            f"Gauss-Hermite order must be an integer in [1, {_MAX_GH_ORDER}], got {order}")
-    return np.polynomial.hermite.hermgauss(int(order))
+    return np.polynomial.hermite.hermgauss(
+        check_int(order, "Gauss-Hermite order", maximum=_MAX_GH_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +120,7 @@ def log_char_moment(t: float, rho: float, *, abs_tol=QUAD_ABS_TOL) -> complex:
     Satisfies |value| <= 1, value(0) = 1 exactly, and conjugate symmetry
     in t.
     """
-    if not (rho > 0) or not math.isfinite(rho):
-        raise ParameterError(f"rho must be positive and finite, got {rho}")
+    check_positive(rho, "rho")
     if not math.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
     if t == 0.0:
@@ -151,7 +147,7 @@ def second_moment_log1p(rho: float) -> float:
     Direct numerical evaluation of the moment integral; strictly positive
     and at least the square of the mean.
     """
-    if not (0 < rho <= 1e6) or not math.isfinite(rho):
+    if check_positive(rho, "rho") > 1e6:
         raise ParameterError(f"rho must lie in (0, 1e6], got {rho}")
 
     def integrand(s):

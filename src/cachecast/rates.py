@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .errors import NumericsError, ParameterError
-from .system import Scheme, SeedSpec, SystemConfig, substream
+from .errors import NumericsError, ParameterError, check_int
+from .system import Scheme, SeedSpec, SystemConfig, exponentials, substream
 
 LN2 = math.log(2.0)
 
@@ -110,10 +110,8 @@ def _worker_count() -> int:
     try:
         count = int(workers)
     except ValueError:
-        raise ParameterError(f"worker count must be an integer, got {workers!r}") from None
-    if count < 1:
-        raise ParameterError(f"worker count must be >= 1, got {count}")
-    return count
+        raise ParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {workers!r}") from None
+    return check_int(count, WORKERS_ENV_VAR)
 
 
 def _scheme_columns(gain: int, users_per_group: int, schemes):
@@ -131,14 +129,8 @@ def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
     users, BLOCK_TRIALS, groups). The block axis is outermost, so a trial's
     draws do not depend on how many trials the chunk holds."""
     blocks = -(-count // BLOCK_TRIALS)
-    e = substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)).random(
-        (blocks, users, BLOCK_TRIALS, groups))
-    # in place: fresh chunk-sized temporaries may go back to the OS after
-    # every chunk and fault in again page by page on the next
-    np.negative(e, out=e)
-    np.log1p(e, out=e)
-    np.negative(e, out=e)
-    return e
+    return exponentials(substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)),
+                        (blocks, users, BLOCK_TRIALS, groups))
 
 
 def _group_min(values):
@@ -251,8 +243,7 @@ def _control_mean(groups: int, users: int) -> float:
 def check_run(num_trials, base_seed):
     """Raise ParameterError unless num_trials is an integer >= 100 and
     base_seed a valid seed, as every Monte Carlo estimate requires."""
-    if not isinstance(num_trials, (int, np.integer)) or num_trials < 100:
-        raise ParameterError(f"num_trials must be an integer >= 100, got {num_trials}")
+    check_int(num_trials, "num_trials", minimum=100)
     SeedSpec(base_seed=base_seed)
 
 
@@ -338,12 +329,11 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
     intended for coupled-path comparisons and diagnostics.
     """
     scheme = Scheme.parse(scheme)
-    if num_trials < 1:
-        raise ParameterError("num_trials must be positive")
+    num_trials = check_int(num_trials, "num_trials")
     column = _scheme_columns(config.nominal_gain, config.users_per_group, [scheme])[scheme]
     chunks = [_log_metrics(_exponentials(base_seed, index, count, *column),
                            config.avg_snr, [column], count)[0]
-              for index, count in _chunk_plan(int(num_trials))]
+              for index, count in _chunk_plan(num_trials)]
     return column[0] / LN2 * np.concatenate(chunks)
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, UnboundedDelayError
+from .errors import ParameterError, UnboundedDelayError, check_positive
 from .system import Scheme, SnrMatrix, SystemConfig
 
 @dataclass(frozen=True, order=True)
@@ -121,8 +121,7 @@ def _finish_times(stage, snr, subfile_size: float) -> list:
     log2(1+SNR), so a slot's finish times are the running sums of
     subfile_size / rate along its users.
     """
-    if not (subfile_size > 0) or not math.isfinite(subfile_size):
-        raise ParameterError(f"subfile_size must be positive, got {subfile_size}")
+    check_positive(subfile_size, "subfile_size")
     mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
     stage = tuple(int(g) for g in stage)
     if len(set(stage)) != len(stage):
@@ -176,8 +175,7 @@ def mn_stage_delay(group_user_snrs: Sequence[float], xor_size: float) -> float:
     worst = float(snrs.min())
     if not (worst >= 0.0 and snrs.max() < math.inf):
         raise ParameterError("SNRs must be finite and nonnegative")
-    if not (xor_size > 0):
-        raise ParameterError(f"xor_size must be positive, got {xor_size}")
+    check_positive(xor_size, "xor_size")
     if worst == 0.0:
         raise UnboundedDelayError("the worst served user has zero SNR")
     return xor_size / math.log2(1.0 + worst)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_positive
 
 
 class Scheme(str, Enum):
@@ -76,8 +76,7 @@ class SystemConfig:
         k, lam, n = self.num_users, self.num_cache_states, self.library_size
         for name, value in (("num_users", k), ("num_cache_states", lam),
                             ("library_size", n)):
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {value}")
+            check_int(value, name)
         if k % lam != 0:
             raise ParameterError(
                 f"num_users={k} must be an integer multiple of num_cache_states={lam}")
@@ -96,8 +95,7 @@ class SystemConfig:
         if n < k:
             raise ParameterError(
                 f"library_size={n} must be at least num_users={k}")
-        if not (self.avg_snr > 0) or not math.isfinite(self.avg_snr):
-            raise ParameterError(f"avg_snr must be positive and finite, got {self.avg_snr}")
+        check_positive(self.avg_snr, "avg_snr")
 
     @property
     def users_per_group(self) -> int:
@@ -123,20 +121,15 @@ class SystemConfig:
         transmission stage serves every group; pass num_cache_states >=
         nominal_gain for a larger system with the same gain.
         """
-        if not isinstance(nominal_gain, (int, np.integer)) or nominal_gain < 1:
-            raise ParameterError(f"nominal_gain must be a positive integer, got {nominal_gain}")
-        if not isinstance(users_per_group, (int, np.integer)) or users_per_group < 1:
-            raise ParameterError(
-                f"users_per_group must be a positive integer, got {users_per_group}")
-        states = int(num_cache_states) if num_cache_states is not None else int(nominal_gain)
-        if states < nominal_gain:
-            raise ParameterError(
-                f"num_cache_states={states} cannot be below nominal_gain={nominal_gain}")
-        k = states * int(users_per_group)
+        gain = check_int(nominal_gain, "nominal_gain")
+        users = check_int(users_per_group, "users_per_group")
+        states = gain if num_cache_states is None else check_int(
+            num_cache_states, "num_cache_states", minimum=gain)
+        k = states * users
         return cls(
             num_users=k,
             num_cache_states=states,
-            cache_fraction=Fraction(int(nominal_gain) - 1, states),
+            cache_fraction=Fraction(gain - 1, states),
             library_size=k,
             avg_snr=float(avg_snr),
         )
@@ -155,12 +148,8 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.base_seed, (int, np.integer)) or not 0 <= self.base_seed < 2 ** 64:
-            raise ParameterError(
-                f"base_seed must be an integer in [0, 2^64), got {self.base_seed}")
-        if not isinstance(self.trial_index, (int, np.integer)) or self.trial_index < 0:
-            raise ParameterError(
-                f"trial_index must be a nonnegative integer, got {self.trial_index}")
+        check_int(self.base_seed, "base_seed", minimum=0, maximum=2 ** 64 - 1)
+        check_int(self.trial_index, "trial_index", minimum=0)
 
 
 def substream(seed: SeedSpec) -> np.random.Generator:
@@ -187,23 +176,29 @@ class SnrMatrix:
         object.__setattr__(self, "snr", arr)
 
 
+def exponentials(rng: np.random.Generator, shape, mean: float = 1.0) -> np.ndarray:
+    """I.i.d. exponentials with the given mean: the package's one channel
+    draw, -mean ln(1-u) by inverse CDF from the generator's uniforms u.
+    Computed in place: a fresh temporary of a Monte Carlo chunk's size may
+    go back to the OS after every chunk and fault in again on the next."""
+    e = rng.random(shape)
+    return np.multiply(np.log1p(np.negative(e, out=e), out=e), -mean, out=e)
+
+
 def sample_snr(config: SystemConfig, seed: SeedSpec) -> SnrMatrix:
     """Draw one quasi-static realization for the full topology.
 
-    Entries are i.i.d. exponential with mean ``config.avg_snr``, generated
-    by inverse CDF from the substream's uniform output so the realization
-    is bit-reproducible for a given (config, seed).
+    Entries are i.i.d. exponential with mean ``config.avg_snr``, drawn by
+    ``exponentials`` from the substream, so the realization is
+    bit-reproducible for a given (config, seed).
     """
-    rng = substream(seed)
     shape = (config.num_cache_states, config.users_per_group)
-    u = rng.random(shape)
-    return SnrMatrix(snr=-config.avg_snr * np.log1p(-u))
+    return SnrMatrix(snr=exponentials(substream(seed), shape, config.avg_snr))
 
 
 def snr_cdf(x: float, rho: float) -> float:
     """P(SNR <= x) = 1 - exp(-x/rho) for the Rayleigh-faded link."""
-    if not (rho > 0) or not math.isfinite(rho):
-        raise ParameterError(f"rho must be positive and finite, got {rho}")
+    check_positive(rho, "rho")
     if not (x >= 0):
         raise ParameterError(f"x must be nonnegative, got {x}")
     return -math.expm1(-x / rho)

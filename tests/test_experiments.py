@@ -240,11 +240,10 @@ def test_a_failing_shape_makes_error_rows_and_spares_the_others(monkeypatch):
 
 @pytest.mark.parametrize("num_trials, base_seed", [(50, 1), (1000, -1)])
 def test_a_bad_trial_count_or_seed_fails_the_sweep(num_trials, base_seed):
-    spec = ExperimentSpec(axis_name="users_per_group", axis_values=(2, 3),
-                          nominal_gain=2, schemes=("acc",), analytics=("exact-mn",),
-                          num_trials=num_trials, base_seed=base_seed)
     with pytest.raises(ParameterError):
-        run_sweep(spec)
+        run_sweep(ExperimentSpec(axis_name="users_per_group", axis_values=(2, 3),
+                                 nominal_gain=2, schemes=("acc",), analytics=("exact-mn",),
+                                 num_trials=num_trials, base_seed=base_seed))
 
 
 def test_a_negative_seed_is_a_parameter_error_in_figures_too(tmp_path):
@@ -253,9 +252,12 @@ def test_a_negative_seed_is_a_parameter_error_in_figures_too(tmp_path):
 
 
 def test_registry_covers_every_analysis_method():
+    method_ids = {analysis.EXACT_MN, analysis.EXACT_ACC_INTEGRAL, analysis.LOW_SNR_MN,
+                  analysis.LOW_SNR_ACC_MULTINOMIAL, analysis.LARGE_B_NORMAL,
+                  analysis.LARGE_B_RATIO_LIMIT, analysis.LOW_SNR_RATIO_LIMIT}
     figure_variants = {"large-b-normal[h=integral]", "large-b-normal[h=ghq]",
                        "large-b-normal[h=asymptotic]", "ratio-large-b-ghq7"}
-    assert set(experiments.ANALYTICS) == set(analysis.APPROX_METHODS) | figure_variants
+    assert set(experiments.ANALYTICS) == method_ids | figure_variants
     assert set(experiments.ANALYTIC_ALIASES.values()) <= set(experiments.ANALYTICS)
     for method in experiments.ANALYTICS:
         assert experiments.ANALYTIC_ALIASES[method] == method
@@ -743,6 +745,31 @@ def test_cli_validate_exit_codes(tmp_path):
     broken = run_cli("validate", "--trials", "5000", "--seed", "42",
                      "--tol-scale", "0")
     assert broken.returncode == 1
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["validate", "--trials", "1000", "--tol-scale", "nan"], None),
+    (["validate", "--trials", "1000", "--tol-scale", "inf"], None),
+    (["figure", "fig4", "--trials", "0"], None),
+    (["figure", "fig4", "--seed", "-5"], None),
+    (["sweep", "--axis", "gain=2", "--rho-db", "0", "--analytics", "exact-mn", "--trials", "1"],
+     None),
+    (["sweep", "--axis", "gain=2", "--rho-db", "0", "--analytics", "exact-mn", "--seed", "-3"],
+     None),
+    (["sweep", "--axis", "rho_db=0", "--rho-db", "30", "--gain", "2", "--analytics",
+      "exact-mn"], None),
+    (["sweep", "--axis", "b=2", "--analytics", "exact-mn"], {"users_per_group": 3}),
+], ids=["tol-scale-nan", "tol-scale-inf", "figure-trials", "figure-seed", "sweep-trials",
+        "sweep-seed", "axis-also-a-flag", "axis-also-a-config-key"])
+def test_cli_rejects_bad_run_parameters_before_writing(tmp_path, capsys, argv, config):
+    if config is not None:
+        config_path = tmp_path / "spec.json"
+        config_path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(config_path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_timeline_preset(tmp_path):

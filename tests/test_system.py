@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from cachecast import experiments, rates, system
 from cachecast.errors import ParameterError
+from cachecast.experiments import validate_system
+from cachecast.rates import BLOCK_TRIALS
 from cachecast.system import (
     Scheme,
     SeedSpec,
@@ -140,6 +143,32 @@ def test_snr_matrix_accepts_zeros_and_empty_matrices(shape):
     matrix = SnrMatrix(snr=np.zeros(shape))
     assert matrix.snr.shape == shape
     assert not matrix.snr.any()
+
+
+def test_every_draw_is_the_textbook_inverse_cdf_bit_for_bit(monkeypatch):
+    # sample_snr, a Monte Carlo chunk and validate's first draw all go
+    # through system.exponentials; each must equal -rho ln(1-u) computed
+    # out of place from the same substream's uniforms
+    def textbook(seed, shape, rho):
+        return -rho * np.log1p(-substream(seed).random(shape))
+
+    config = SystemConfig.from_gain(3, 4, avg_snr=2.5)
+    seed = SeedSpec(base_seed=77, trial_index=3)
+    assert sample_snr(config, seed).snr.tobytes() == textbook(seed, (3, 4), 2.5).tobytes()
+
+    chunk = rates._exponentials(19, 2, 300, 5, 3)
+    expected = textbook(SeedSpec(base_seed=19, trial_index=2), (2, 3, BLOCK_TRIALS, 5), 1.0)
+    assert chunk.tobytes() == expected.tobytes()
+
+    draws = []
+
+    def recorded(*args):
+        draws.append(system.exponentials(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(experiments, "exponentials", recorded)
+    validate_system(config, num_trials=1000, base_seed=8)
+    assert draws[0].tobytes() == textbook(SeedSpec(base_seed=8), 1000, 2.5).tobytes()
 
 
 def test_sample_mean_obeys_the_law_of_large_numbers():
