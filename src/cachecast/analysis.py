@@ -9,12 +9,15 @@ low-SNR and many-users limits of the aggregated-to-XOR rate ratio.
 Conventions: rates are bits/s/Hz; `gain` is the nominal multicast size
 (number of simultaneously served groups); `users_per_group` is the number
 of users sharing one cache state. All functions are pure; the inversion
-caches its characteristic-function table per average SNR, keyed read-only
-after construction.
+keeps one characteristic-function table per average SNR and one inversion
+per (SNR, users_per_group) for the life of the process, and their arrays
+are read-only.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,10 +26,10 @@ from scipy import interpolate, special
 
 from .errors import NumericsError, ParameterError, check_int, check_positive
 from .numerics import (
+    _char_fn,
     _checked_quad,
     exp_scaled_e1,
     gauss_hermite_rule,
-    log_char_moment,
     second_moment_log1p,
 )
 
@@ -333,10 +336,7 @@ class _CharFnTable:
             np.linspace(0.0, self.boundary, self.SPARSE_LINEAR),
             np.geomspace(self.boundary, self.tmax, self.SPARSE_LOG)[1:],
         ])
-        values = np.empty(sparse.size, dtype=complex)
-        values[0] = 1.0
-        for i in range(1, sparse.size):
-            values[i] = log_char_moment(sparse[i], rho, abs_tol=1e-11)
+        values = np.array([1.0] + _char_fn(sparse[1:], rho, abs_tol=1e-11))
         spline_re = interpolate.CubicSpline(sparse, values.real)
         spline_im = interpolate.CubicSpline(sparse, values.imag)
         self.t_grid = np.concatenate([
@@ -352,26 +352,13 @@ class _CharFnTable:
         return np.interp(t, self.t_grid, self.re) + 1j * np.interp(t, self.t_grid, self.im)
 
 
-_CF_TABLES: dict = {}
-
-
-def _cf_table(rho: float) -> _CharFnTable:
-    table = _CF_TABLES.get(rho)
-    if table is None:
-        table = _CharFnTable(rho)
-        _CF_TABLES[rho] = table
-    return table
-
-
-_GL_CACHE: dict = {}
-
-
-def _gauss_legendre(n: int):
-    rule = _GL_CACHE.get(n)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = rule
-    return rule
+def _interp(x: float, xp, fp) -> float:
+    """float(np.interp(x, xp, fp)) for a scalar x >= xp[0], with the same
+    arithmetic, over memoryviews: np.interp copies a read-only xp per call."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 class _MinSumInversion:
@@ -386,8 +373,10 @@ class _MinSumInversion:
         power = self.table.phi(self.table.t_grid) ** users_per_group
         with np.errstate(divide="ignore", invalid="ignore"):
             safe_t = np.where(self.table.t_grid > 0.0, self.table.t_grid, 1.0)
-            self._im_over_t = power.imag / safe_t
-            self._re_over_t = power.real / safe_t
+            # the scalar tail callbacks read these through read-only views
+            self._t, self._im_over_t, self._re_over_t = (
+                memoryview(arr).toreadonly()
+                for arr in (self.table.t_grid, power.imag / safe_t, power.real / safe_t))
         self.mean_sum = users_per_group * mean_log1p_snr(rho)
         self.std_sum = math.sqrt(users_per_group) * std_log1p_snr(rho)
 
@@ -409,11 +398,11 @@ class _MinSumInversion:
         # oscillatory tail [a, tmax]: smooth 1/t-weighted factors against
         # cos/sin(y t), handled by QUADPACK's oscillatory rule
         im_part = _checked_quad(
-            lambda tt: float(np.interp(tt, table.t_grid, self._im_over_t)),
+            lambda tt: _interp(tt, self._t, self._im_over_t),
             a, table.tmax, weight="cos", wvar=y, abs_tol=1e-9, rel_tol=1e-9,
             limit=500, what=f"CDF inversion cos-part (rho={self.rho}, y={y:.4g})")
         re_part = _checked_quad(
-            lambda tt: float(np.interp(tt, table.t_grid, self._re_over_t)),
+            lambda tt: _interp(tt, self._t, self._re_over_t),
             a, table.tmax, weight="sin", wvar=y, abs_tol=1e-9, rel_tol=1e-9,
             limit=500, what=f"CDF inversion sin-part (rho={self.rho}, y={y:.4g})")
         return 0.5 + (low + im_part - re_part) / math.pi
@@ -440,16 +429,11 @@ class _MinSumInversion:
             what=f"expected minimum (rho={self.rho}, b={self.b}, gain={gain})")
 
 
-_INVERSIONS: dict = {}
-
-
-def _inversion(rho: float, users_per_group: int) -> _MinSumInversion:
-    key = (rho, users_per_group)
-    inv = _INVERSIONS.get(key)
-    if inv is None:
-        inv = _MinSumInversion(rho, users_per_group)
-        _INVERSIONS[key] = inv
-    return inv
+#: one table per rho, one inversion per (rho, users_per_group) and one
+#: Gauss-Legendre rule per order, each kept for the life of the process
+_cf_table = functools.cache(_CharFnTable)
+_inversion = functools.cache(_MinSumInversion)
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def capacity_sum_cdf(y: float, rho: float, users_per_group: int) -> float:
@@ -473,9 +457,9 @@ def acc_rate_exact_integral(rho: float, users_per_group: int, gain: int) -> Appr
     slowly to be worth inverting.
 
     Measured domain at (users_per_group, gain) = (2, 2): -30 dB converges
-    (94 s on a 2-core host), while -40 dB and 60 dB raise NumericsError in
-    the expected-minimum quadrature, so the inversion does not span
-    -40..60 dB.
+    (83 s on a 2-core host), while -40 dB and 60 dB raise NumericsError in
+    the expected-minimum quadrature (after 35 s and 146 s), so the
+    inversion does not span -40..60 dB.
     """
     rho = check_positive(rho, "rho")
     b = check_int(users_per_group, "users_per_group", minimum=2)

@@ -2,7 +2,8 @@
 expressions.
 
 Everything here is pure and reentrant: no shared mutable state, safe for
-concurrent use. All adaptive quadratures carry an absolute tolerance budget
+concurrent use; the characteristic function's memo of the density lives
+only for one call. All adaptive quadratures carry an absolute tolerance budget
 (default ``QUAD_ABS_TOL``) and raise :class:`~cachecast.errors.NumericsError`
 with the achieved residual when the budget cannot be met; they never fail
 silently.
@@ -111,6 +112,31 @@ def gauss_hermite_rule(order: int):
 # log-SNR characteristic moments
 # ---------------------------------------------------------------------------
 
+def _char_fn(ts, rho, abs_tol):
+    """log_char_moment at each nonzero t of ts, as a list. The quadratures
+    of every t ask for the density at the same few hundred y, so they share
+    one memo of it."""
+
+    class Density(dict):
+        def __missing__(self, y):
+            value = self[y] = math.exp(y - math.expm1(y) / rho) / rho
+            return value
+
+    density = Density().__getitem__
+    # density of Y dies like exp(-(e^y-1)/rho); beyond this point it underflows
+    ymax = math.log1p(760.0 * rho)
+    values = []
+    for t in ts:
+        s = abs(float(t))
+        # _checked_quad rejects a non-finite part
+        re = _checked_quad(density, 0.0, ymax, weight="cos", wvar=s,
+                           abs_tol=abs_tol, what=f"Re CF(t={t}, rho={rho})")
+        im = _checked_quad(density, 0.0, ymax, weight="sin", wvar=s,
+                           abs_tol=abs_tol, what=f"Im CF(t={t}, rho={rho})")
+        values.append(complex(re, im if t > 0 else -im))
+    return values
+
+
 def log_char_moment(t: float, rho: float, *, abs_tol=QUAD_ABS_TOL) -> complex:
     """E[(1+SNR)^{jt}] for SNR ~ Exp(mean rho), i.e. the characteristic
     function of ln(1+SNR) at frequency t.
@@ -125,21 +151,7 @@ def log_char_moment(t: float, rho: float, *, abs_tol=QUAD_ABS_TOL) -> complex:
         raise ParameterError(f"t must be finite, got {t}")
     if t == 0.0:
         return complex(1.0, 0.0)
-    s = abs(float(t))
-    # density of Y dies like exp(-(e^y-1)/rho); beyond this point it underflows
-    ymax = math.log1p(760.0 * rho)
-
-    def density(y):
-        return math.exp(y - math.expm1(y) / rho) / rho
-
-    re = _checked_quad(density, 0.0, ymax, weight="cos", wvar=s,
-                       abs_tol=abs_tol, what=f"Re CF(t={t}, rho={rho})")
-    im = _checked_quad(density, 0.0, ymax, weight="sin", wvar=s,
-                       abs_tol=abs_tol, what=f"Im CF(t={t}, rho={rho})")
-    value = complex(re, im if t > 0 else -im)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NumericsError(f"CF evaluation produced non-finite value at t={t}, rho={rho}")
-    return value
+    return _char_fn([t], rho, abs_tol)[0]
 
 def second_moment_log1p(rho: float) -> float:
     """E[(ln(1+SNR))^2] for SNR ~ Exp(mean rho).

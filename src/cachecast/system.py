@@ -171,9 +171,13 @@ class SnrMatrix:
         # numpy's min and max propagate NaN, which then fails both comparisons
         if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
             raise ParameterError("snr entries must be finite and nonnegative")
-        arr = arr.copy()
+        self._own(arr.copy())
+
+    def _own(self, arr: np.ndarray) -> "SnrMatrix":
+        """Hold `arr` itself, made read-only; the caller gives it up."""
         arr.setflags(write=False)
         object.__setattr__(self, "snr", arr)
+        return self
 
 
 def exponentials(rng: np.random.Generator, shape, mean: float = 1.0) -> np.ndarray:
@@ -193,7 +197,9 @@ def sample_snr(config: SystemConfig, seed: SeedSpec) -> SnrMatrix:
     bit-reproducible for a given (config, seed).
     """
     shape = (config.num_cache_states, config.users_per_group)
-    return SnrMatrix(snr=exponentials(substream(seed), shape, config.avg_snr))
+    # a fresh draw is finite and nonnegative: own it, unchecked and uncopied
+    draw = exponentials(substream(seed), shape, config.avg_snr)
+    return object.__new__(SnrMatrix)._own(draw)
 
 
 def snr_cdf(x: float, rho: float) -> float:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, optimize, special
+from scipy import integrate, interpolate, optimize, special
 
 from cachecast import analysis
 from cachecast.analysis import (
@@ -491,3 +492,90 @@ def test_exact_integral_consistent_with_large_b_form():
     exact = acc_rate_exact_integral(1.0, 24, 3).value
     approx = acc_rate_large_b(1.0, 24, 3).value
     assert abs(exact - approx) / exact < 0.02
+
+
+# ---------------------------------------------------------------- inversion callbacks, bit for bit
+
+def test_scalar_interpolant_is_np_interp_byte_for_byte():
+    inv = analysis._inversion(1.0, 2)
+    t_grid = inv.table.t_grid
+    im_over_t = np.asarray(inv._im_over_t)
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(t_grid[0], t_grid[-1], 10_000), t_grid[::997],
+                         t_grid[[0, -1]], [t_grid[-1] * 2.0]])
+    for x in xs.tolist():
+        assert (analysis._interp(x, inv._t, inv._im_over_t).hex()
+                == float(np.interp(x, t_grid, im_over_t)).hex()), x
+
+
+def closure_char_fn_table(table):
+    """(re, im) of `table` rebuilt with one closure density per frequency
+    and no memo, as every node was computed before the memo."""
+    rho, boundary, tmax = table.rho, table.boundary, table.tmax
+    sparse = np.concatenate([np.linspace(0.0, boundary, table.SPARSE_LINEAR),
+                             np.geomspace(boundary, tmax, table.SPARSE_LOG)[1:]])
+    ymax = math.log1p(760.0 * rho)
+    values = np.empty(sparse.size, dtype=complex)
+    values[0] = 1.0
+    for i, t in enumerate(sparse[1:].tolist(), start=1):
+        def density(y):
+            return math.exp(y - math.expm1(y) / rho) / rho
+
+        parts = [integrate.quad(density, 0.0, ymax, weight=weight, wvar=t, epsabs=1e-11,
+                                epsrel=1e-11, limit=300, full_output=1)[0]
+                 for weight in ("cos", "sin")]
+        values[i] = complex(*parts)
+    return (interpolate.CubicSpline(sparse, values.real)(table.t_grid),
+            interpolate.CubicSpline(sparse, values.imag)(table.t_grid))
+
+
+@pytest.mark.parametrize("rho", [0.3, 7.0])
+def test_char_fn_table_is_the_closure_density_rebuild_byte_for_byte(rho):
+    table = analysis._CharFnTable(rho)
+    re, im = closure_char_fn_table(table)
+    assert table.re.tobytes() == re.tobytes()
+    assert table.im.tobytes() == im.tobytes()
+
+
+def np_interp_survival(inv, y):
+    """P(S > y) with np.interp on the read-only grid in the tail callbacks."""
+    table, a = inv.table, inv.table.boundary
+    im_over_t, re_over_t = np.asarray(inv._im_over_t), np.asarray(inv._re_over_t)
+    assert not table.t_grid.flags.writeable
+    nodes, weights = np.polynomial.legendre.leggauss(
+        min(4096, 64 + 14 * int(y * a / (2.0 * math.pi) + 1)))
+    t = 0.5 * a * (nodes + 1.0)
+    phi_b = table.phi(t) ** inv.b
+    integrand = (phi_b.imag * np.cos(y * t) - phi_b.real * np.sin(y * t)) / t
+    low = 0.5 * a * float(np.sum(weights * integrand))
+    tails = [integrate.quad(lambda tt, fp=fp: float(np.interp(tt, table.t_grid, fp)),
+                            a, table.tmax, weight=weight, wvar=y, epsabs=1e-9,
+                            epsrel=1e-9, limit=500, full_output=1)[0]
+             for fp, weight in ((im_over_t, "cos"), (re_over_t, "sin"))]
+    return 0.5 + (low + tails[0] - tails[1]) / math.pi
+
+
+@pytest.mark.parametrize("rho, b", [(1.0, 2), (10 ** 0.4, 3)])
+def test_capacity_sum_cdf_is_the_np_interp_survival_byte_for_byte(rho, b):
+    inv = analysis._inversion(rho, b)
+    for y in (0.3, 1.1, 2.5, 4.0):
+        expected = 1.0 - min(1.0, max(0.0, np_interp_survival(inv, y)))
+        assert capacity_sum_cdf(y, rho, b).hex() == expected.hex(), y
+
+
+def test_building_an_inversion_holds_no_list_copies():
+    # A fresh inversion holds five float64 arrays of n nodes: the table's
+    # t_grid, re and im, and the inversion's im/t and re/t. Building it also
+    # needs phi(t_grid): two interpolated parts, the complex 1j*im and the
+    # complex sum, six arrays' worth on top of the table's three, so nine in
+    # all at the peak. A list copy of one array (about four arrays' worth of
+    # float objects and pointers) exceeds either bound.
+    tracemalloc.start()
+    try:
+        inv = analysis._MinSumInversion(2.9, 3)  # a rho no other test builds
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    array_bytes = inv.table.t_grid.nbytes
+    assert held < 6 * array_bytes
+    assert peak < 10 * array_bytes

@@ -115,8 +115,21 @@ def test_sampling_is_bit_reproducible():
 
 def test_snr_matrix_is_read_only():
     matrix = sample_snr(make_config(), SeedSpec(base_seed=1))
+    assert not matrix.snr.flags.writeable
     with pytest.raises(ValueError):
         matrix.snr[0, 0] = 5.0
+
+
+def test_snr_matrix_checks_and_copies_caller_input():
+    with pytest.raises(ParameterError):
+        SnrMatrix(snr=[[float("nan")]])
+    with pytest.raises(ParameterError):
+        SnrMatrix(snr=[[1.0, -2.0]])
+    given = np.ones((2, 3))
+    matrix = SnrMatrix(snr=given)
+    given[0, 0] = 5.0
+    assert given.flags.writeable
+    assert not matrix.snr.flags.writeable and matrix.snr[0, 0] == 1.0
 
 
 def test_snr_matrix_rejects_bad_entries():
