@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import interpolate, special
+from scipy.special import cython_special
 
 from .errors import NumericsError, ParameterError, check_int, check_positive
 from .numerics import (
@@ -142,13 +143,20 @@ def psi(gain: int, users_per_group: int) -> float:
     tail beyond exp(-256) is dropped. Where Q is near 1 the power is taken
     as exp(gain * log1p(-P)), P = 1 - Q computed directly, so a large gain
     does not amplify the rounding of Q.
+
+    The integrand calls P and Q through `cython_special`, as C functions
+    of two floats: a `special` ufunc call on scalars costs about 1 us more,
+    nearly all of it ufunc dispatch, and QUADPACK asks for about 500 values
+    per psi. Both compute the same bits.
     """
     g = check_int(gain, "gain")
     b = check_int(users_per_group, "users_per_group")
+    shape = float(b)
 
     def survival(x):
-        p = special.gammainc(b, x)
-        return math.exp(g * math.log1p(-p)) if p < 0.5 else special.gammaincc(b, x) ** g
+        p = cython_special.gammainc(shape, x)
+        return (math.exp(g * math.log1p(-p)) if p < 0.5
+                else cython_special.gammaincc(shape, x) ** g)
 
     t = 4.0 ** np.arange(-5, 5) / g  # -log of the survival power at each edge
     edges = np.where(t < 1.0, special.gammaincinv(b, -np.expm1(-t)),

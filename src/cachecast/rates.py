@@ -73,8 +73,7 @@ class RateEstimate:
     scheme: Scheme
 
     def __post_init__(self):
-        if self.num_trials < 1:
-            raise ParameterError("num_trials must be positive")
+        check_int(self.num_trials, "num_trials")
         if self.std_err < 0 or not math.isfinite(self.mean):
             raise ParameterError("invalid estimate moments")
 

@@ -14,10 +14,11 @@ Groups, users, files and stage slots are all 0-indexed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +52,11 @@ class TimelineEvent(NamedTuple):
     time: float
     group: int
     user: int
+
+
+#: TimelineEvent._make without its Python-level frame, which costs more
+#: than the tuple it builds
+_event = functools.partial(tuple.__new__, TimelineEvent)
 
 
 @dataclass(frozen=True)
@@ -121,19 +127,20 @@ def _finish_times(stage, snr, subfile_size: float) -> list:
     log2(1+SNR), so a slot's finish times are the running sums of
     subfile_size / rate along its users.
     """
-    check_positive(subfile_size, "subfile_size")
+    size = check_positive(subfile_size, "subfile_size")
     mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
-    stage = tuple(int(g) for g in stage)
+    stage = tuple(map(int, stage))
     if len(set(stage)) != len(stage):
         raise ParameterError(f"stage has repeated groups: {stage}")
     if not all(0 <= g < mat.shape[0] for g in stage):
         raise ParameterError(f"stage {stage} out of range for {mat.shape[0]} groups")
-    rates = np.log2(1.0 + mat[list(stage), :])
-    if np.any(rates <= 0.0):
+    rates = np.log2(1.0 + mat.take(stage, axis=0))
+    if (rates <= 0.0).any():
         bad = [(stage[i], int(j)) for i, j in zip(*np.nonzero(rates <= 0.0))][:4]
         raise UnboundedDelayError(
             f"served users with zero rate never finish: (group, user) {bad}")
-    return [list(accumulate(subfile_size / rate for rate in row)) for row in rates.tolist()]
+    # cumsum adds along each row in order, as a Python running sum does
+    return (size / rates).cumsum(axis=1).tolist()
 
 
 def acc_stage_timeline(stage: Sequence[int], snr, subfile_size: float) -> DeliveryTimeline:
@@ -147,16 +154,18 @@ def acc_stage_timeline(stage: Sequence[int], snr, subfile_size: float) -> Delive
     order. Completion equals max over groups of sum_b subfile_size / rate(g, b).
     """
     stage = tuple(stage)
-    times = _finish_times(stage, snr, subfile_size)
+    finishes = [(t, i, j) for i, row in enumerate(_finish_times(stage, snr, subfile_size))
+                for j, t in enumerate(row)]
+    finishes.sort()
     groups = [int(g) for g in stage]
     batched = []
     first = -math.inf
-    for t, i, j in sorted((t, i, j) for i, row in enumerate(times) for j, t in enumerate(row)):
+    for t, i, j in finishes:
         if t > first * (1.0 + 1e-12):
             first = t
         batched.append((first, i, j))
     batched.sort()  # a batch's finishes now share its time, so they sort by slot
-    events = tuple(TimelineEvent(t, groups[i], j) for t, i, j in batched)
+    events = tuple(map(_event, [(t, groups[i], j) for t, i, j in batched]))
     return DeliveryTimeline(events=events,
                             completion_time=events[-1].time if events else 0.0)
 
@@ -168,14 +177,19 @@ def acc_stage_completion_closed_form(stage, snr, subfile_size: float) -> float:
 
 def mn_stage_delay(group_user_snrs: Sequence[float], xor_size: float) -> float:
     """Duration of one XOR multicast: the worst served user sets the pace."""
-    snrs = np.asarray(group_user_snrs, dtype=float)
-    if snrs.ndim != 1 or len(snrs) == 0:
+    # iterating rejects a scalar, and float() a nested row or a non-number;
+    # a string would iterate as its characters
+    try:
+        snrs = [float(s) for s in group_user_snrs]
+    except (TypeError, ValueError):
+        snrs = []
+    if not snrs or isinstance(group_user_snrs, (str, bytes)):
         raise ParameterError("group_user_snrs must be a nonempty 1-D collection")
-    # numpy's min and max propagate NaN, which then fails both comparisons
-    worst = float(snrs.min())
-    if not (worst >= 0.0 and snrs.max() < math.inf):
+    # min and max skip a NaN that is not first, so every value is tested
+    if not all(0.0 <= s < math.inf for s in snrs):
         raise ParameterError("SNRs must be finite and nonnegative")
     check_positive(xor_size, "xor_size")
+    worst = min(snrs)
     if worst == 0.0:
         raise UnboundedDelayError("the worst served user has zero SNR")
     return xor_size / math.log2(1.0 + worst)
@@ -228,8 +242,8 @@ def full_session_delay(config: SystemConfig, demands: Sequence[int],
             for stage in stages:
                 snr = snr_per_stage[idx]
                 mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
-                served = [mat[g, round_idx] for g in stage]
-                total += mn_stage_delay(served, subfile_size)
+                column = mat[:, round_idx].tolist()
+                total += mn_stage_delay([column[g] for g in stage], subfile_size)
                 idx += 1
         return total
 

@@ -235,6 +235,28 @@ def test_psi_matches_mpmath_on_large_shapes(gain, users):
     assert psi(gain, users) == pytest.approx(psi_mpmath_oracle(gain, users), rel=1e-13)
 
 
+def ufunc_psi(gain, users_per_group):
+    """psi with its survival integrand on the `special` ufuncs, given the
+    integer shape, and everything else as psi computes it."""
+    g, b = gain, users_per_group
+
+    def survival(x):
+        p = special.gammainc(b, x)
+        return math.exp(g * math.log1p(-p)) if p < 0.5 else special.gammaincc(b, x) ** g
+
+    t = 4.0 ** np.arange(-5, 5) / g
+    edges = np.concatenate(([0.0], np.where(t < 1.0, special.gammaincinv(b, -np.expm1(-t)),
+                                            special.gammainccinv(b, np.exp(-t)))))
+    return math.fsum(analysis._checked_quad(survival, lo, hi, abs_tol=0.0, rel_tol=1e-13)
+                     for lo, hi in zip(edges, edges[1:]))
+
+
+def test_psi_is_the_ufunc_integrand_byte_for_byte():
+    for gain in (1, 2, 3, 5, 10, 20, 100):
+        for users in (1, 2, 3, 4, 6, 8, 16, 32, 64, 128):
+            assert psi(gain, users).hex() == ufunc_psi(gain, users).hex(), (gain, users)
+
+
 def test_psi_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         psi(0, 2)

@@ -12,7 +12,7 @@ import pytest
 from cachecast import analysis, numerics, rates, scheduling
 from cachecast.errors import ParameterError
 from cachecast.experiments import ExperimentSpec, validate_system
-from cachecast.system import SeedSpec, SystemConfig, snr_cdf
+from cachecast.system import Scheme, SeedSpec, SystemConfig, snr_cdf
 
 CONFIG = SystemConfig.from_gain(2, 2, avg_snr=1.0)
 
@@ -43,6 +43,8 @@ INTEGER_INPUTS = {
     "gauss_hermite_order": (numerics.gauss_hermite_rule, [0, 65], np.int64(7)),
     "psi_gain": (lambda v: analysis.psi(v, 2), [0], np.int64(2)),
     "large_b_users": (lambda v: analysis.acc_rate_large_b(1.0, v, 2), [1], np.int64(2)),
+    "estimate_num_trials": (lambda v: rates.RateEstimate(mean=1.0, std_err=0.0, num_trials=v,
+                                                         scheme=Scheme.MN), [0], np.int64(1)),
     "validate_num_trials": (lambda v: validate_system(CONFIG, num_trials=v), [999, 1500.5],
                             np.int64(1000)),
 }

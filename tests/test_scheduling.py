@@ -2,6 +2,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -318,6 +319,18 @@ def test_mn_delay_zero_snr_raises():
     ([1.0, 2.0], 0.0),
     ([1.0, 2.0], -1.0),
     ([1.0, 0.0], 0.0),
+    # Python's min and max skip a NaN that is not first
+    ([float("nan"), 1.0, 2.0], 1.0),
+    ([1.0, float("nan"), 2.0], 1.0),
+    ([1.0, 2.0, float("nan")], 1.0),
+    ([1.0, float("nan"), -1.0], 1.0),
+    ([2.0, 1.0, float("inf")], 1.0),
+    (np.array([[1.0, 2.0]]), 1.0),
+    (np.array([[1.0], [2.0]]), 1.0),
+    (np.array(2.0), 1.0),
+    (np.array([]), 1.0),
+    ("12", 1.0),
+    (b"12", 1.0),
 ])
 def test_mn_delay_rejects_bad_input(snrs, xor_size):
     with pytest.raises(ParameterError):
@@ -378,6 +391,74 @@ def test_session_realization_counts_are_enforced():
         full_session_delay(config, (0, 1, 2, 3), [snr], Scheme.TDM)
     with pytest.raises(ParameterError):
         full_session_delay(config, (0, 1), [snr], Scheme.ACC)
+
+
+def textbook_finish_times(stage, mat, size):
+    rates = np.log2(1.0 + np.asarray(mat)[list(stage), :]).tolist()
+    return [list(accumulate(size / rate for rate in row)) for row in rates]
+
+
+def textbook_timeline(stage, mat, size):
+    """(time, group, user) of every finish: sorted in time, then each batch
+    within 1e-12 relative of its first finish moved to that time and
+    listed by slot."""
+    finishes = sorted((t, i, j) for i, row in enumerate(textbook_finish_times(stage, mat, size))
+                      for j, t in enumerate(row))
+    events, batch = [], []
+    for t, i, j in finishes:
+        if batch and t > batch[0][0] * (1.0 + 1e-12):
+            events += [(batch[0][0], stage[i], j) for _, i, j in sorted(batch, key=lambda e: e[1:])]
+            batch = []
+        batch.append((t, i, j))
+    events += [(batch[0][0], stage[i], j) for _, i, j in sorted(batch, key=lambda e: e[1:])]
+    return events
+
+
+def textbook_mn_session(stages, realizations, b, size):
+    total, idx = 0.0, 0
+    for round_idx in range(b):
+        for stage in stages:
+            served = [realizations[idx].snr[g, round_idx] for g in stage]
+            total += size / math.log2(1.0 + float(np.asarray(served).min()))
+            idx += 1
+    return total
+
+
+#: every realization of the tied session: groups 0 and 1 finish together at
+#: every user, group 2 ties with them at 0.5 and 1.0, and group 1's 1e-13
+#: offset is within the batching tolerance
+TIED_SNR = SnrMatrix(snr=np.array([[1.0, 1.0, 3.0], [1.0, 1.0 + 1e-13, 3.0], [3.0, 3.0, 1.0]]))
+
+
+#: (cache states, gain, users per group, SNR in dB): the three session
+#: shapes of the analytic_session benchmark, then the tied session
+@pytest.mark.parametrize("states, gain, b, db", [
+    (8, 4, 8, 0.0), (6, 3, 4, 10.0), (5, 2, 6, -10.0), (3, 2, 3, None)])
+def test_stage_delays_are_the_textbook_rebuilds_byte_for_byte(states, gain, b, db):
+    rho = 1.0 if db is None else 10.0 ** (db / 10.0)
+    config = SystemConfig.from_gain(gain, b, rho, num_cache_states=states)
+    stages = enumerate_stages(config)
+    size = 1.0 / math.comb(states, gain - 1)
+
+    def draws(seed, count):
+        return [TIED_SNR if db is None else sample_snr(config, SeedSpec(seed, i))
+                for i in range(count)]
+
+    acc, mn = draws(17, len(stages)), draws(18, b * len(stages))
+    completions = []
+    for stage, snr in zip(stages, acc):
+        timeline = acc_stage_timeline(stage, snr, size)
+        expected = textbook_timeline(stage, snr.snr, size)
+        assert [(ev.time.hex(), ev.group, ev.user) for ev in timeline.events] == [
+            (t.hex(), g, j) for t, g, j in expected]
+        closed = max(row[-1] for row in textbook_finish_times(stage, snr.snr, size))
+        assert timeline.completion_time.hex() == expected[-1][0].hex()
+        assert acc_stage_completion_closed_form(stage, snr, size).hex() == closed.hex()
+        completions.append(closed)
+    demands = list(range(config.num_users))
+    assert full_session_delay(config, demands, acc, Scheme.ACC).hex() == sum(completions).hex()
+    assert (full_session_delay(config, demands, mn, Scheme.MN).hex()
+            == textbook_mn_session(stages, mn, b, size).hex())
 
 
 def test_cache_state_is_hashable_frozen():
