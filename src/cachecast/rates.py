@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -121,15 +122,27 @@ def _scheme_columns(gain: int, users_per_group: int, schemes):
     return {scheme: shapes[scheme] for scheme in schemes}
 
 
+def _buffers(count, groups, users):
+    """One worker's buffers for chunks of up to `count` trials of a
+    (groups, users) draw: a flat array the draws fill, and the two arrays
+    in which _log_metrics builds the per-user metric. Made once per
+    estimation, so chunks do not hand fresh arrays to the OS and fault them
+    in again."""
+    blocks = -(-count // BLOCK_TRIALS)
+    shape = (blocks, BLOCK_TRIALS, groups)
+    return np.empty(blocks * users * BLOCK_TRIALS * groups), (np.empty(shape), np.empty(shape))
+
+
 def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
-                  users: int) -> np.ndarray:
+                  users: int, out: np.ndarray) -> np.ndarray:
     """Standard exponentials E = -ln(1-u) of one substream chunk, in the
     whole blocks that hold its first `count` trials, laid out (blocks,
-    users, BLOCK_TRIALS, groups). The block axis is outermost, so a trial's
-    draws do not depend on how many trials the chunk holds."""
-    blocks = -(-count // BLOCK_TRIALS)
+    users, BLOCK_TRIALS, groups) at the front of the flat buffer `out`. The
+    block axis is outermost, so a trial's draws do not depend on how many
+    trials the chunk holds."""
+    shape = (-(-count // BLOCK_TRIALS), users, BLOCK_TRIALS, groups)
     return exponentials(substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)),
-                        (blocks, users, BLOCK_TRIALS, groups))
+                        shape, out=out[:math.prod(shape)].reshape(shape))
 
 
 def _group_min(values):
@@ -156,39 +169,45 @@ def _column_values(first, group_total, columns, count):
     return out
 
 
-def _controls(e, columns, count):
-    """Each column's metric on E instead of ln(1 + rho E)."""
-    return _column_values(e[:, 0], lambda: e.sum(axis=1), columns, count)
+def _controls(e, columns, count, out=None):
+    """Each column's metric on E instead of ln(1 + rho E), with the users'
+    sums in `out` (a fresh array for None)."""
+    return _column_values(e[:, 0], lambda: np.sum(e, axis=1, out=out), columns, count)
 
 
-def _log_metrics(e, rho, columns, count):
-    """Each column's natural-log metric at SNR rho, one user at a time so
-    that no second chunk-sized array is made."""
-    def log1p_user(j):
-        values = np.multiply(e[:, j], rho)
+def _log_metrics(e, rho, columns, count, scratch=(None, None)):
+    """Each column's natural-log metric at SNR rho, one user at a time in
+    the two (blocks, BLOCK_TRIALS, groups) arrays of `scratch`, or in fresh
+    ones for None, so that no second chunk-sized array is made."""
+    first_out, user_out = (None if out is None else out[:len(e)] for out in scratch)
+
+    def log1p_user(j, out):
+        values = np.multiply(e[:, j], rho, out=out)
         return np.log1p(values, out=values)
 
-    first = log1p_user(0)
+    first = log1p_user(0, first_out)
 
     def group_total():
         total = first  # summed in place: the single-user columns have read it
         for j in range(1, e.shape[1]):
-            total += log1p_user(j)
+            total += log1p_user(j, user_out)
         return total
     return _column_values(first, group_total, columns, count)
 
 
-def _chunk_moments(args):
+def _chunk_moments(args, buffers):
     """(trials, mean, centred co-moments) of the metrics and then the
-    controls of every column, one row per SNR."""
+    controls of every column, one row per SNR, drawn into a worker's
+    `buffers`."""
     columns, rhos, base_seed, substream_index, count = args
+    draws, scratch = buffers
     e = _exponentials(base_seed, substream_index, count,
                       max(groups for groups, _ in columns),
-                      max(users for _, users in columns))
-    controls = _controls(e, columns, count)
+                      max(users for _, users in columns), draws)
+    controls = _controls(e, columns, count, scratch[0][:len(e)])
     means, comoments = [], []
     for rho in rhos:
-        values = np.stack(_log_metrics(e, rho, columns, count) + controls)
+        values = np.stack(_log_metrics(e, rho, columns, count, scratch) + controls)
         mean = values.mean(axis=1)
         values -= mean[:, None]
         means.append(mean)
@@ -269,15 +288,25 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
     columns = sorted(set(scheme_columns.values()))
     index = {scheme: columns.index(column) for scheme, column in scheme_columns.items()}
-    _, _, pilot_comoments = _chunk_moments(
-        (columns, rhos, base_seed, PILOT_SUBSTREAM, _pilot_trials(int(num_trials))))
-    plan = [(columns, rhos, base_seed, index, count)
-            for index, count in _chunk_plan(int(num_trials))]
-    if worker_count == 1 or len(plan) == 1:
-        parts = [_chunk_moments(args) for args in plan]
+    # the pilot first, then the estimate chunks
+    tasks = [(columns, rhos, base_seed, substream_index, count)
+             for substream_index, count in [(PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))]
+             + _chunk_plan(int(num_trials))]
+    largest = max(count for *_, count in tasks)
+    draw_shape = (max(groups for groups, _ in columns), max(users for _, users in columns))
+    local = threading.local()  # each worker's buffers, for this call only
+
+    def moments(task):
+        if not hasattr(local, "buffers"):
+            local.buffers = _buffers(largest, *draw_shape)
+        return _chunk_moments(task, local.buffers)
+
+    if worker_count == 1 or len(tasks) == 2:
+        parts = [moments(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            parts = list(pool.map(_chunk_moments, plan))
+            parts = list(pool.map(moments, tasks))
+    (_, _, pilot_comoments), parts = parts[0], parts[1:]
     n, means, comoments = _tree_reduce(parts)
 
     k = len(columns)
@@ -330,8 +359,9 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
     scheme = Scheme.parse(scheme)
     num_trials = check_int(num_trials, "num_trials")
     column = _scheme_columns(config.nominal_gain, config.users_per_group, [scheme])[scheme]
-    chunks = [_log_metrics(_exponentials(base_seed, index, count, *column),
-                           config.avg_snr, [column], count)[0]
+    draws, scratch = _buffers(min(num_trials, CHUNK_TRIALS), *column)
+    chunks = [_log_metrics(_exponentials(base_seed, index, count, *column, draws),
+                           config.avg_snr, [column], count, scratch)[0]
               for index, count in _chunk_plan(num_trials)]
     return column[0] / LN2 * np.concatenate(chunks)
 

@@ -180,12 +180,14 @@ class SnrMatrix:
         return self
 
 
-def exponentials(rng: np.random.Generator, shape, mean: float = 1.0) -> np.ndarray:
+def exponentials(rng: np.random.Generator, shape, mean: float = 1.0,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """I.i.d. exponentials with the given mean: the package's one channel
     draw, -mean ln(1-u) by inverse CDF from the generator's uniforms u.
-    Computed in place: a fresh temporary of a Monte Carlo chunk's size may
+    Computed in place, in `out` (a C-contiguous float64 array of that
+    shape) when given: a fresh temporary of a Monte Carlo chunk's size may
     go back to the OS after every chunk and fault in again on the next."""
-    e = rng.random(shape)
+    e = rng.random(shape, out=out)
     return np.multiply(np.log1p(np.negative(e, out=e), out=e), -mean, out=e)
 
 

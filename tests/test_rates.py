@@ -373,9 +373,9 @@ def test_draws_stay_within_a_block_of_the_trials_used(monkeypatch, num_trials):
     drawn = []
 
     def counting(seed):
-        def random(shape):  # (blocks, users, BLOCK_TRIALS, groups)
+        def random(shape, out):  # (blocks, users, BLOCK_TRIALS, groups)
             drawn.append(shape[0] * shape[2])
-            return substream(seed).random(shape)
+            return substream(seed).random(shape, out=out)
         return SimpleNamespace(random=random)
 
     monkeypatch.setattr(rates, "substream", counting)

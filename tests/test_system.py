@@ -169,7 +169,10 @@ def test_every_draw_is_the_textbook_inverse_cdf_bit_for_bit(monkeypatch):
     seed = SeedSpec(base_seed=77, trial_index=3)
     assert sample_snr(config, seed).snr.tobytes() == textbook(seed, (3, 4), 2.5).tobytes()
 
-    chunk = rates._exponentials(19, 2, 300, 5, 3)
+    # drawn into the front of a buffer made for longer chunks
+    buffer = np.full(4 * 3 * BLOCK_TRIALS * 5, np.nan)
+    chunk = rates._exponentials(19, 2, 300, 5, 3, buffer)
+    assert np.shares_memory(chunk, buffer)
     expected = textbook(SeedSpec(base_seed=19, trial_index=2), (2, 3, BLOCK_TRIALS, 5), 1.0)
     assert chunk.tobytes() == expected.tobytes()
 
