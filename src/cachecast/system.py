@@ -153,9 +153,10 @@ class SeedSpec:
 
 
 def substream(seed: SeedSpec) -> np.random.Generator:
-    """Counter-based generator for the substream named by ``seed``."""
+    """PCG64 generator for the substream named by ``seed``: the seed
+    sequence of ``base_seed`` spawned at key ``(trial_index,)``."""
     seq = np.random.SeedSequence(int(seed.base_seed), spawn_key=(int(seed.trial_index),))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,9 @@ def test_criterion_03_low_snr_gain_collapse():
 # -------------------------------------------------------------------------
 
 def min_gamma_mc(gain, users_per_group, samples, seed):
-    rng = substream(SeedSpec(base_seed=seed, trial_index=0))
+    # the oracle's own stream, fixed apart from the package's generator:
+    # Philox from the seed sequence spawned at key (0,)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
     total = total_sq = 0.0
     remaining = samples
     while remaining:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from cachecast import analysis, cli, experiments
+from cachecast import analysis, cli, experiments, system
 from cachecast.cli import exit_code_for, main
 from cachecast.errors import NumericsError, ParameterError
 from cachecast.experiments import (
@@ -577,18 +577,28 @@ def test_ks_checks_report_their_p_value():
             assert p == pytest.approx(stats.kstwo.sf(check.measured, 5_000), rel=1e-2)
 
 
-def test_ks_p_value_is_the_asymptotic_kolmogorov_law():
-    # gain 4, one user per group, seed 42: min-snr-ks fails at 100k trials
-    report = validate_system(SystemConfig.from_gain(4, 1, avg_snr=1.0), num_trials=100_000,
-                             base_seed=42)
-    ks_checks = [check for check in report.checks if check.name.endswith("-ks")]
-    assert len(ks_checks) == 2
-    for check in ks_checks:
-        p = special.kolmogorov(math.sqrt(100_000) * check.measured)
-        assert check.detail.endswith(f"p={p:.3g}")
-        # the limit is the Kolmogorov law's 1% point, so failing means p < 1%
-        assert check.passed == (p >= special.kolmogorov(1.628))
-    assert not all(check.passed for check in ks_checks)
+def test_ks_p_value_is_the_asymptotic_kolmogorov_law(monkeypatch):
+    config = SystemConfig.from_gain(4, 1, avg_snr=1.0)
+
+    def ks_checks():
+        report = validate_system(config, num_trials=100_000, base_seed=42)
+        checks = {check.name: check for check in report.checks if check.name.endswith("-ks")}
+        assert len(checks) == 2
+        for check in checks.values():
+            p = special.kolmogorov(math.sqrt(100_000) * check.measured)
+            assert check.detail.endswith(f"p={p:.3g}")
+            # the limit is the Kolmogorov law's 1% point, so failing means p < 1%
+            assert check.passed == (p >= special.kolmogorov(1.628))
+        return checks
+
+    ks_checks()
+    # a draw 5% too large: the minima are no longer Exp(rho/gain), and the
+    # check must fail on its p-value
+    monkeypatch.setattr(experiments, "exponentials",
+                        lambda *args: 1.05 * system.exponentials(*args))
+    skewed = ks_checks()["min-snr-ks"]
+    assert not skewed.passed
+    assert special.kolmogorov(math.sqrt(100_000) * skewed.measured) < 1e-6
     assert special.kolmogorov(1.628) == pytest.approx(0.009976, abs=1e-6)
 
 

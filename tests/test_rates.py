@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -152,9 +154,9 @@ def test_trial_rates_order_is_stable_across_chunks():
 
 def test_acc_trial_rates_match_the_out_of_place_formula():
     # the chunk metric is evaluated in place, one user at a time; it must
-    # equal the textbook expression on the same Philox substream bit for
-    # bit. Chunk i draws whole blocks, laid out (blocks, users, trials,
-    # groups), from substream i + 1
+    # equal the textbook expression on the same substream bit for bit.
+    # Chunk i draws whole blocks, laid out (blocks, users, trials, groups),
+    # from substream i + 1
     rho, gain, users, tail = 2.5, 3, 4, 500
     config = SystemConfig.from_gain(gain, users, avg_snr=rho)
     expected = []
@@ -169,7 +171,7 @@ def test_acc_trial_rates_match_the_out_of_place_formula():
 
 
 def _chunk_exponentials(base_seed, substream_index, count, groups, users):
-    # E = -ln(1-u) of one chunk, straight from the Philox substream
+    # E = -ln(1-u) of one chunk, straight from its substream
     blocks = -(-count // BLOCK_TRIALS)
     u = substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)).random(
         (blocks, users, BLOCK_TRIALS, groups))
@@ -385,6 +387,41 @@ def test_draws_stay_within_a_block_of_the_trials_used(monkeypatch, num_trials):
     assert drawn[0] == pilot
     assert num_trials <= sum(drawn[1:]) < num_trials + BLOCK_TRIALS
     assert len(drawn) == 1 + chunks
+
+
+def test_trial_rates_are_not_views_of_a_reused_buffer():
+    config = SystemConfig.from_gain(3, 4, avg_snr=2.0)
+    first = trial_rates(config, Scheme.ACC, CHUNK_TRIALS + 300, base_seed=12)
+    kept = first.copy()
+    trial_rates(config, Scheme.ACC, 700, base_seed=13)
+    trial_rates(SystemConfig.from_gain(5, 2, avg_snr=0.5), Scheme.MN, 500, base_seed=14)
+    mc_average_rates(3, 4, [2.0, 8.0], ("tdm", "acc"), CHUNK_TRIALS + 300, 15)
+    assert first.tobytes() == kept.tobytes()
+
+
+_FRESH_ESTIMATE = """
+from cachecast.rates import mc_average_rates
+estimates = mc_average_rates({gain}, {users}, [0.1, 10.0], ("tdm", "mn", "acc"), {trials}, 5)
+print(repr([(e.rates, e.covariance) for e in estimates]))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_shapes_estimated_in_turn_match_fresh_processes(monkeypatch, workers):
+    # the buffers of one estimation leave nothing behind for the next: a
+    # narrow shape, a wide one and the narrow one again give the bytes of
+    # each shape estimated alone in a new process
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
+    trials = 2 * CHUNK_TRIALS + 300
+    shapes = [(3, 2), (2, 9), (3, 2)]
+    in_turn = [repr([(e.rates, e.covariance) for e in mc_average_rates(
+        gain, users, [0.1, 10.0], ("tdm", "mn", "acc"), trials, 5)]) for gain, users in shapes]
+    assert in_turn[0] == in_turn[2]
+    for (gain, users), got in zip(shapes[:2], in_turn):
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_ESTIMATE.format(gain=gain, users=users, trials=trials)],
+            capture_output=True, text=True, check=True)
+        assert got == fresh.stdout.strip()
 
 
 def test_gain_error_counts_the_covariance():

@@ -102,6 +102,14 @@ def test_substreams_are_reproducible_and_distinct():
     assert not np.array_equal(a1, b)
 
 
+@pytest.mark.parametrize("base_seed,trial_index", [(0, 0), (11, 1), (2 ** 64 - 1, 8193)])
+def test_substream_is_pcg64_on_the_spawned_seed_sequence(base_seed, trial_index):
+    seq = np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
+    expected = np.random.Generator(np.random.PCG64(seq)).random(1000)
+    got = substream(SeedSpec(base_seed=base_seed, trial_index=trial_index)).random(1000)
+    assert got.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sampling_is_bit_reproducible():
