@@ -169,28 +169,27 @@ def _column_values(first, group_total, columns, count):
     return out
 
 
-def _controls(e, columns, count, out=None):
-    """Each column's metric on E instead of ln(1 + rho E), with the users'
-    sums in `out` (a fresh array for None)."""
-    return _column_values(e[:, 0], lambda: np.sum(e, axis=1, out=out), columns, count)
+def _controls(e, columns, count, scratch):
+    """Each column's metric on E instead of ln(1 + rho E), summing the
+    users in the first array of `scratch`."""
+    return _column_values(e[:, 0], lambda: np.sum(e, axis=1, out=scratch[0][:len(e)]),
+                          columns, count)
 
 
-def _log_metrics(e, rho, columns, count, scratch=(None, None)):
+def _log_metrics(e, rho, columns, count, scratch):
     """Each column's natural-log metric at SNR rho, one user at a time in
-    the two (blocks, BLOCK_TRIALS, groups) arrays of `scratch`, or in fresh
-    ones for None, so that no second chunk-sized array is made."""
-    first_out, user_out = (None if out is None else out[:len(e)] for out in scratch)
-
+    the two (blocks, BLOCK_TRIALS, groups) arrays of `scratch`, so that no
+    second chunk-sized array is made."""
     def log1p_user(j, out):
-        values = np.multiply(e[:, j], rho, out=out)
+        values = np.multiply(e[:, j], rho, out=out[:len(e)])
         return np.log1p(values, out=values)
 
-    first = log1p_user(0, first_out)
+    first = log1p_user(0, scratch[0])
 
     def group_total():
         total = first  # summed in place: the single-user columns have read it
         for j in range(1, e.shape[1]):
-            total += log1p_user(j, user_out)
+            total += log1p_user(j, scratch[1])
         return total
     return _column_values(first, group_total, columns, count)
 
@@ -201,10 +200,9 @@ def _chunk_moments(args, buffers):
     `buffers`."""
     columns, rhos, base_seed, substream_index, count = args
     draws, scratch = buffers
-    e = _exponentials(base_seed, substream_index, count,
-                      max(groups for groups, _ in columns),
-                      max(users for _, users in columns), draws)
-    controls = _controls(e, columns, count, scratch[0][:len(e)])
+    # sorted, the last column is the widest in both groups and users
+    e = _exponentials(base_seed, substream_index, count, *columns[-1], draws)
+    controls = _controls(e, columns, count, scratch)
     means, comoments = [], []
     for rho in rhos:
         values = np.stack(_log_metrics(e, rho, columns, count, scratch) + controls)
@@ -293,15 +291,14 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
              for substream_index, count in [(PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))]
              + _chunk_plan(int(num_trials))]
     largest = max(count for *_, count in tasks)
-    draw_shape = (max(groups for groups, _ in columns), max(users for _, users in columns))
     local = threading.local()  # each worker's buffers, for this call only
 
     def moments(task):
         if not hasattr(local, "buffers"):
-            local.buffers = _buffers(largest, *draw_shape)
+            local.buffers = _buffers(largest, *columns[-1])
         return _chunk_moments(task, local.buffers)
 
-    if worker_count == 1 or len(tasks) == 2:
+    if worker_count == 1 or len(tasks) == 2:  # the pilot and one chunk
         parts = [moments(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=worker_count) as pool:

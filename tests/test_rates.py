@@ -37,7 +37,8 @@ def stage_rate(snr):
     groups, users = snr.shape
     e = np.zeros((1, users, BLOCK_TRIALS, groups))
     e[0, :, 0, :] = snr.T
-    (values,) = rates._log_metrics(e, 1.0, [(groups, users)], 1)
+    _, scratch = rates._buffers(1, groups, users)
+    (values,) = rates._log_metrics(e, 1.0, [(groups, users)], 1, scratch)
     return float(values[0]) / LN2
 
 
@@ -208,7 +209,8 @@ def test_controls_match_the_textbook_reductions(gain, users, tied):
     columns = sorted({(1, 1), (gain, 1), (gain, users)})
     expected = {(1, 1): e[:, 0, :, 0], (gain, 1): e[:, 0].min(axis=-1),
                 (gain, users): e.mean(axis=1).min(axis=-1)}
-    got = rates._controls(e, columns, count)
+    _, scratch = rates._buffers(count, gain, users)
+    got = rates._controls(e, columns, count, scratch)
     assert len(got) == len(columns)
     for column, values in zip(columns, got):
         assert values.tobytes() == expected[column].reshape(-1)[:count].tobytes(), column
@@ -406,21 +408,28 @@ print(repr([(e.rates, e.covariance) for e in estimates]))
 """
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "8"])
 def test_shapes_estimated_in_turn_match_fresh_processes(monkeypatch, workers):
     # the buffers of one estimation leave nothing behind for the next: a
     # narrow shape, a wide one and the narrow one again give the bytes of
-    # each shape estimated alone in a new process
+    # each shape estimated alone in a new process. Eight workers, more than
+    # the cores, with frequent thread switches, would expose a buffer two
+    # workers shared
     monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
-    trials = 2 * CHUNK_TRIALS + 300
+    trials = 5 * CHUNK_TRIALS + 300
     shapes = [(3, 2), (2, 9), (3, 2)]
-    in_turn = [repr([(e.rates, e.covariance) for e in mc_average_rates(
-        gain, users, [0.1, 10.0], ("tdm", "mn", "acc"), trials, 5)]) for gain, users in shapes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        in_turn = [repr([(e.rates, e.covariance) for e in mc_average_rates(
+            gain, users, [0.1, 10.0], ("tdm", "mn", "acc"), trials, 5)]) for gain, users in shapes]
+    finally:
+        sys.setswitchinterval(interval)
     assert in_turn[0] == in_turn[2]
     for (gain, users), got in zip(shapes[:2], in_turn):
         fresh = subprocess.run(
             [sys.executable, "-c", _FRESH_ESTIMATE.format(gain=gain, users=users, trials=trials)],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, timeout=120)
         assert got == fresh.stdout.strip()
 
 
