@@ -7,10 +7,11 @@ transmission stage).
 
 Average SNR is given in dB on the command line and converted to linear
 internally. Exit codes: 0 success, 1 validation failure, 2 parameter
-error, 3 numeric error. The CACHECAST_WORKERS environment variable sets
-the Monte Carlo worker count; results are identical for any value. A
-top-level ``-v`` logs the time of every shared Monte Carlo estimation and
-closed-form row to stderr; output files are the same with or without it.
+error or an output that cannot be written, 3 numeric error. The
+CACHECAST_WORKERS environment variable sets the Monte Carlo worker count;
+results are identical for any value. A top-level ``-v`` logs the time of
+every shared Monte Carlo estimation and closed-form row to stderr; output
+files are the same with or without it.
 Every output goes through ``experiments.write_text``: to the ``--out`` path
 atomically, creating its directory, or to stdout where ``--out`` is optional
 (``sweep``, ``validate``).
@@ -73,8 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--seed", type=int, default=42)
     validate.add_argument("--gain", type=int, default=2)
     validate.add_argument("--users-per-group", type=int, default=4)
-    validate.add_argument("--cache-states", type=int, default=4,
-                          help="cache states (>= gain); fixes the placement size")
+    validate.add_argument("--cache-states", type=int,
+                          help="cache states (>= gain, default the gain); "
+                               "fixes the placement size")
     validate.add_argument("--rho-db", type=float, default=0.0)
     validate.add_argument("--tol-scale", type=float, default=1.0)
     validate.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -190,8 +192,9 @@ _COMMANDS = {
 
 
 def exit_code_for(exc: Exception) -> int:
-    """Exit-code policy: parameter errors 2, numeric errors 3."""
-    if isinstance(exc, ParameterError):
+    """Exit-code policy: parameter errors and unwritable outputs 2, numeric
+    errors 3."""
+    if isinstance(exc, (ParameterError, OSError)):
         return 2
     if isinstance(exc, NumericsError):
         return 3
@@ -207,7 +210,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, NumericsError) as exc:
+    except (ParameterError, NumericsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     finally:

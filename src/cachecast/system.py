@@ -53,86 +53,56 @@ def snr_from_db(rho_db: float) -> float:
     return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SystemConfig:
-    """Topology and channel parameters.
+    """Topology and channel parameters; the rest of the topology follows.
 
-    num_users:        K, total users (integer multiple of num_cache_states)
-    num_cache_states: number of distinct cache contents; users sharing one
-                      form a group of K/num_cache_states members
-    cache_fraction:   fraction of the library each cache stores; the product
-                      num_cache_states * cache_fraction must be an integer
-    library_size:     N, at least K so demands can be distinct
+    nominal_gain:     t+1, the number of groups each transmission serves
+    users_per_group:  B, users sharing one cache state
     avg_snr:          mean instantaneous SNR (linear)
+    num_cache_states: Lambda >= nominal_gain; None means nominal_gain cache states
     """
 
-    num_users: int
-    num_cache_states: int
-    cache_fraction: float | Fraction
-    library_size: int
+    nominal_gain: int
+    users_per_group: int
     avg_snr: float
+    num_cache_states: int | None = None
 
     def __post_init__(self):
-        k, lam, n = self.num_users, self.num_cache_states, self.library_size
-        for name, value in (("num_users", k), ("num_cache_states", lam),
-                            ("library_size", n)):
-            check_int(value, name)
-        if k % lam != 0:
-            raise ParameterError(
-                f"num_users={k} must be an integer multiple of num_cache_states={lam}")
-        gamma = self.cache_fraction
-        gamma_f = float(gamma)
-        if not 0.0 <= gamma_f <= 1.0:
-            raise ParameterError(f"cache_fraction must lie in [0, 1], got {gamma}")
-        t = lam * gamma_f
-        if abs(t - round(t)) > 1e-9:
-            raise ParameterError(
-                f"num_cache_states * cache_fraction must be an integer, got {t}")
-        if round(t) + 1 > lam:
-            raise ParameterError(
-                f"nominal gain {round(t) + 1} exceeds the number of cache states {lam}; "
-                f"cache_fraction must be below 1")
-        if n < k:
-            raise ParameterError(
-                f"library_size={n} must be at least num_users={k}")
-        check_positive(self.avg_snr, "avg_snr")
+        gain = check_int(self.nominal_gain, "nominal_gain")
+        states = gain if self.num_cache_states is None else self.num_cache_states
+        for name, value in (
+                ("nominal_gain", gain),
+                ("users_per_group", check_int(self.users_per_group, "users_per_group")),
+                ("num_cache_states", check_int(states, "num_cache_states", minimum=gain)),
+                ("avg_snr", check_positive(self.avg_snr, "avg_snr"))):
+            object.__setattr__(self, name, value)
 
     @property
-    def users_per_group(self) -> int:
-        return self.num_users // self.num_cache_states
+    def num_users(self) -> int:
+        return self.num_cache_states * self.users_per_group
+
+    @property
+    def library_size(self) -> int:
+        """N = K, the fewest files that let every demand be distinct."""
+        return self.num_users
 
     @property
     def cache_subset_size(self) -> int:
         """Size of the cache-state subset labelling each file segment."""
-        return round(self.num_cache_states * float(self.cache_fraction))
+        return self.nominal_gain - 1
 
     @property
-    def nominal_gain(self) -> int:
-        """Ideal multicast speed-up: cache_subset_size + 1 simultaneous groups."""
-        return self.cache_subset_size + 1
+    def cache_fraction(self) -> Fraction:
+        """Fraction of the library each cache stores."""
+        return Fraction(self.cache_subset_size, self.num_cache_states)
 
     @classmethod
     def from_gain(cls, nominal_gain: int, users_per_group: int, avg_snr: float,
                   num_cache_states: int | None = None) -> "SystemConfig":
-        """Topology realizing a target nominal gain.
-
-        By default uses nominal_gain cache states with cache_fraction
-        (nominal_gain-1)/nominal_gain, the smallest system where a single
-        transmission stage serves every group; pass num_cache_states >=
-        nominal_gain for a larger system with the same gain.
-        """
-        gain = check_int(nominal_gain, "nominal_gain")
-        users = check_int(users_per_group, "users_per_group")
-        states = gain if num_cache_states is None else check_int(
-            num_cache_states, "num_cache_states", minimum=gain)
-        k = states * users
-        return cls(
-            num_users=k,
-            num_cache_states=states,
-            cache_fraction=Fraction(gain - 1, states),
-            library_size=k,
-            avg_snr=float(avg_snr),
-        )
+        """The constructor, with positional arguments."""
+        return cls(nominal_gain=nominal_gain, users_per_group=users_per_group,
+                   avg_snr=avg_snr, num_cache_states=num_cache_states)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,10 +316,8 @@ def test_criterion_11_clique_property_exhaustive():
     checked = 0
     for states in range(1, 9):
         for subset_size in range(0, states):
-            config = SystemConfig(
-                num_users=states, num_cache_states=states,
-                cache_fraction=Fraction(subset_size, states),
-                library_size=states, avg_snr=1.0)
+            config = SystemConfig(nominal_gain=subset_size + 1, users_per_group=1,
+                                  num_cache_states=states, avg_snr=1.0)
             caches = {state.group: state.contents for state in placement(config)}
             for stage in enumerate_stages(config):
                 for slot in range(len(stage)):

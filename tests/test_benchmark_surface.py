@@ -1,7 +1,10 @@
 import importlib
 import inspect
+import numbers
 
-from cachecast import analysis
+import numpy as np
+
+from cachecast import analysis, experiments, rates, scheduling, system
 
 #: Every package name the benchmark reaches, with the keywords it passes:
 #: the round bodies in bench/child.py call them, and the tracer in
@@ -52,3 +55,21 @@ def test_every_name_the_benchmark_reaches_resolves():
         if keywords:
             assert set(keywords) <= set(inspect.signature(obj).parameters), dotted
     assert {"integral", "ghq", "asymptotic"} <= set(analysis.H_METHODS)
+
+
+def test_every_result_field_the_benchmark_reads_is_there():
+    # bench/child.py reads .value, .snr and .completion_time from what the
+    # round bodies return, and bench/tracing.py counts .num_trials and
+    # .events on the results of the calls it wraps
+    assert isinstance(analysis.exact_mn_rate(1.0, 2).value, float)
+    assert isinstance(analysis.mn_rate_low_snr(0.01, 2).value, float)
+    assert isinstance(analysis.acc_rate_low_snr(0.01, 2, 2).value, float)
+    config = system.SystemConfig.from_gain(2, 2, 1.0, num_cache_states=3)
+    snr = system.sample_snr(config, system.SeedSpec(7, 0))
+    assert np.asarray(snr.snr).shape == (3, 2)
+    timeline = scheduling.acc_stage_timeline((0, 1), snr, 0.5)
+    assert isinstance(timeline.completion_time, float)
+    assert len(timeline.events) == 4
+    assert isinstance(experiments.timeline_for(preset="example2").completion_time, float)
+    estimate = rates.mc_average_rate(config, "tdm", 100, 1)
+    assert isinstance(estimate.num_trials, numbers.Integral) and estimate.num_trials == 100

@@ -3,7 +3,6 @@ public entry points that use them."""
 
 import math
 import os
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -25,7 +24,9 @@ def _with_workers(value):
 #: entry point -> (call on one value, values it rejects beyond nan, +-inf and
 #: 3.7, an accepted numpy integer)
 INTEGER_INPUTS = {
-    "num_users": (lambda v: SystemConfig(v, 2, Fraction(1, 2), 8, 1.0), [0], np.int64(4)),
+    # with one cache state, K is the users_per_group the constructor checks
+    "num_users": (lambda v: SystemConfig(nominal_gain=1, users_per_group=v, avg_snr=1.0),
+                  [0], np.int64(4)),
     "nominal_gain": (lambda v: SystemConfig.from_gain(v, 2, 1.0), [0], np.int64(2)),
     "users_per_group": (lambda v: SystemConfig.from_gain(2, v, 1.0), [0], np.int64(2)),
     "num_cache_states": (lambda v: SystemConfig.from_gain(2, 2, 1.0, num_cache_states=v),
@@ -55,7 +56,8 @@ POSITIVE_INPUTS = {
     "log_char_moment": lambda v: numerics.log_char_moment(1.0, v),
     "second_moment_log1p": numerics.second_moment_log1p,
     "snr_cdf": lambda v: snr_cdf(1.0, v),
-    "avg_snr": lambda v: SystemConfig(8, 4, Fraction(1, 4), 8, v),
+    "avg_snr": lambda v: SystemConfig(nominal_gain=2, users_per_group=2, num_cache_states=4,
+                                      avg_snr=v),
     "rho": lambda v: analysis.exact_mn_rate(v, 2),
     "subfile_size": lambda v: scheduling.acc_stage_timeline((0, 1), [[1.0], [2.0]], v),
     "xor_size": lambda v: scheduling.mn_stage_delay([1.0, 2.0], v),

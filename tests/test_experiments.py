@@ -757,6 +757,27 @@ def test_cli_validate_exit_codes(tmp_path):
     assert broken.returncode == 1
 
 
+def test_cli_validate_defaults_to_as_many_cache_states_as_the_gain(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["validate", "--gain", "5", "--trials", "1000", "--out", str(out)]) in (0, 1)
+    config = json.loads(out.read_text())["config"]
+    assert config["num_cache_states"] == 5
+    assert config["num_users"] == config["library_size"] == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--trials", "1000"],
+    ["sweep", "--axis", "rho_db=0", "--analytics", "exact-mn"],
+    ["figure", "fig4", "--trials", "100"],
+], ids=["validate", "sweep", "figure"])
+def test_cli_unwritable_output_is_exit_2_not_a_failed_validation(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(argv + ["--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("argv, config", [
     (["validate", "--trials", "1000", "--tol-scale", "nan"], None),
     (["validate", "--trials", "1000", "--tol-scale", "inf"], None),
@@ -831,6 +852,8 @@ def test_cli_figure_writes_one_csv_per_named_preset(tmp_path, capsys):
 def test_exit_code_mapping_unit():
     assert exit_code_for(ParameterError("x")) == 2
     assert exit_code_for(NumericsError("y")) == 3
+    assert exit_code_for(FileExistsError("z")) == 2
+    assert exit_code_for(PermissionError("w")) == 2
     with pytest.raises(KeyError):
         exit_code_for(KeyError("unrelated"))
 

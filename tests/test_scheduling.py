@@ -31,8 +31,8 @@ def config_for(gain, users_per_group, rho=1.0):
 # ---------------------------------------------------------------- placement
 
 def test_placement_three_states_one_third():
-    config = SystemConfig(num_users=3, num_cache_states=3, cache_fraction=Fraction(1, 3),
-                          library_size=3, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=2, users_per_group=1, num_cache_states=3,
+                          avg_snr=1.0)
     states = placement(config)
     assert len(states) == 3
     for state in states:
@@ -42,8 +42,8 @@ def test_placement_three_states_one_third():
 
 
 def test_placement_zero_fraction_leaves_caches_empty():
-    config = SystemConfig(num_users=3, num_cache_states=3, cache_fraction=0,
-                          library_size=3, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=1, users_per_group=1, num_cache_states=3,
+                          avg_snr=1.0)
     states = placement(config)
     assert all(state.contents == frozenset() for state in states)
     # whole file is a single segment labelled by the empty subset
@@ -51,8 +51,8 @@ def test_placement_zero_fraction_leaves_caches_empty():
 
 
 def test_placement_four_states_half():
-    config = SystemConfig(num_users=4, num_cache_states=4, cache_fraction=Fraction(1, 2),
-                          library_size=4, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=3, users_per_group=1, num_cache_states=4,
+                          avg_snr=1.0)
     states = placement(config)
     per_file = math.comb(4, 2)
     assert per_file == 6
@@ -64,8 +64,8 @@ def test_placement_four_states_half():
 @pytest.mark.parametrize("lam,t", [(3, 1), (5, 2), (6, 3), (8, 4)])
 def test_cached_fraction_equals_cache_fraction(lam, t):
     # every cache stores C(lam-1, t-1) of each file's C(lam, t) segments
-    config = SystemConfig(num_users=lam, num_cache_states=lam,
-                          cache_fraction=Fraction(t, lam), library_size=lam, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=t + 1, users_per_group=1, num_cache_states=lam,
+                          avg_snr=1.0)
     for state in placement(config):
         for n in range(lam):
             stored = sum(1 for s in state.contents if s.file == n)
@@ -75,20 +75,20 @@ def test_cached_fraction_equals_cache_fraction(lam, t):
 # ---------------------------------------------------------------- stages
 
 def test_stage_enumeration_pairs():
-    config = SystemConfig(num_users=3, num_cache_states=3, cache_fraction=Fraction(1, 3),
-                          library_size=3, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=2, users_per_group=1, num_cache_states=3,
+                          avg_snr=1.0)
     assert enumerate_stages(config) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_single_full_stage():
-    config = SystemConfig(num_users=3, num_cache_states=3, cache_fraction=Fraction(2, 3),
-                          library_size=3, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=3, users_per_group=1, num_cache_states=3,
+                          avg_snr=1.0)
     assert enumerate_stages(config) == [(0, 1, 2)]
 
 
 def test_stage_count_is_binomial():
-    config = SystemConfig(num_users=5, num_cache_states=5, cache_fraction=Fraction(2, 5),
-                          library_size=5, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=3, users_per_group=1, num_cache_states=5,
+                          avg_snr=1.0)
     assert len(enumerate_stages(config)) == math.comb(5, 3) == 10
 
 
@@ -112,9 +112,8 @@ def test_needed_subfile_clique_membership():
 def test_clique_property_exhaustive_small():
     for lam in range(1, 6):
         for t in range(0, lam):
-            config = SystemConfig(num_users=lam, num_cache_states=lam,
-                                  cache_fraction=Fraction(t, lam),
-                                  library_size=lam, avg_snr=1.0)
+            config = SystemConfig(nominal_gain=t + 1, users_per_group=1, num_cache_states=lam,
+                                  avg_snr=1.0)
             caches = {state.group: state.contents for state in placement(config)}
             for stage in enumerate_stages(config):
                 for slot in range(len(stage)):
@@ -345,8 +344,8 @@ def test_mn_delay_accepts_arrays_and_numpy_scalars():
 # ---------------------------------------------------------------- full session
 
 def test_single_user_groups_make_schemes_coincide():
-    config = SystemConfig(num_users=3, num_cache_states=3, cache_fraction=Fraction(1, 3),
-                          library_size=3, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=2, users_per_group=1, num_cache_states=3,
+                          avg_snr=1.0)
     stages = enumerate_stages(config)
     realizations = [sample_snr(config, SeedSpec(base_seed=9, trial_index=i))
                     for i in range(len(stages))]
@@ -358,8 +357,8 @@ def test_single_user_groups_make_schemes_coincide():
 
 def test_symmetric_session_reduces_to_closed_form():
     # Lambda=2, fraction 1/2, B=2: one stage, delay (1-gamma) K / (gain rate)
-    config = SystemConfig(num_users=4, num_cache_states=2, cache_fraction=Fraction(1, 2),
-                          library_size=4, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=2, users_per_group=2, num_cache_states=2,
+                          avg_snr=1.0)
     snr = SnrMatrix(snr=np.full((2, 2), 3.0))
     delay = full_session_delay(config, (0, 1, 2, 3), [snr], Scheme.ACC)
     rate = math.log2(4.0)
@@ -369,8 +368,8 @@ def test_symmetric_session_reduces_to_closed_form():
 
 def test_uncached_session_equals_serial_delivery():
     # zero cache fraction: every group gets its whole files one user at a time
-    config = SystemConfig(num_users=4, num_cache_states=2, cache_fraction=0,
-                          library_size=4, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=1, users_per_group=2, num_cache_states=2,
+                          avg_snr=1.0)
     realizations = [sample_snr(config, SeedSpec(base_seed=31, trial_index=i))
                     for i in range(2)]
     delay = full_session_delay(config, (0, 1, 2, 3), realizations, Scheme.ACC)
@@ -380,8 +379,8 @@ def test_uncached_session_equals_serial_delivery():
 
 
 def test_session_realization_counts_are_enforced():
-    config = SystemConfig(num_users=4, num_cache_states=2, cache_fraction=Fraction(1, 2),
-                          library_size=4, avg_snr=1.0)
+    config = SystemConfig(nominal_gain=2, users_per_group=2, num_cache_states=2,
+                          avg_snr=1.0)
     snr = sample_snr(config, SeedSpec(base_seed=1))
     with pytest.raises(ParameterError):
         full_session_delay(config, (0, 1, 2, 3), [snr, snr], Scheme.ACC)

@@ -23,8 +23,7 @@ from cachecast.system import (
 
 
 def make_config(**overrides):
-    base = dict(num_users=8, num_cache_states=4, cache_fraction=Fraction(1, 4),
-                library_size=8, avg_snr=1.0)
+    base = dict(nominal_gain=2, users_per_group=2, num_cache_states=4, avg_snr=1.0)
     base.update(overrides)
     return SystemConfig(**base)
 
@@ -33,13 +32,36 @@ def make_config(**overrides):
 
 def test_derived_quantities():
     config = make_config()
-    assert config.users_per_group == 2
+    assert config.num_users == config.library_size == 8
     assert config.cache_subset_size == 1
-    assert config.nominal_gain == 2
+    assert config.cache_fraction == Fraction(1, 4)
+
+
+def test_derived_properties_on_a_grid():
+    # K = Lambda B users and N = K files, with gain - 1 of the Lambda cache
+    # states in each segment's label; the fraction is exact
+    def derived(gain, users, states):
+        config = SystemConfig(nominal_gain=gain, users_per_group=users,
+                              num_cache_states=states, avg_snr=1.0)
+        assert type(config.cache_fraction) is Fraction
+        return (config.num_users, config.library_size, config.cache_subset_size,
+                config.cache_fraction)
+
+    for gain in range(1, 6):
+        for users in range(1, 4):
+            for states in range(gain, 9):
+                assert derived(gain, users, states) == (
+                    states * users, states * users, gain - 1, Fraction(gain - 1, states))
+    assert derived(1, 1, 1) == (1, 1, 0, 0)
+    assert derived(2, 3, 4) == (12, 12, 1, Fraction(1, 4))
+    assert derived(4, 2, 6) == (12, 12, 3, Fraction(1, 2))
+    assert derived(5, 3, 8) == (24, 24, 4, Fraction(1, 2))
 
 
 def test_from_gain_builds_minimal_topology():
     config = SystemConfig.from_gain(4, 6, avg_snr=2.0)
+    assert config == SystemConfig(nominal_gain=4, users_per_group=6, avg_snr=2.0,
+                                  num_cache_states=4)
     assert config.num_cache_states == 4
     assert config.num_users == 24
     assert config.nominal_gain == 4
@@ -47,12 +69,16 @@ def test_from_gain_builds_minimal_topology():
     assert config.cache_fraction == Fraction(3, 4)
 
 
+def test_positional_construction_is_a_type_error():
+    # a call in the old five-field order (K, Lambda, gamma, N, rho) must not
+    # be read as (gain, B, rho, ...), so every positional call is rejected
+    with pytest.raises(TypeError):
+        SystemConfig(8, 4, Fraction(1, 4), 8, 1.0)
+    with pytest.raises(TypeError):
+        SystemConfig(2, 2, 1.0)
+
+
 @pytest.mark.parametrize("overrides", [
-    dict(num_users=7),                      # not a multiple of cache states
-    dict(cache_fraction=0.3),               # non-integer subset size
-    dict(cache_fraction=1.0),               # gain would exceed cache states
-    dict(cache_fraction=-0.25),
-    dict(library_size=4),                   # smaller than num_users
     dict(avg_snr=0.0),
     dict(avg_snr=float("nan")),
     dict(num_cache_states=0),
@@ -63,8 +89,9 @@ def test_invalid_configs_are_rejected(overrides):
 
 
 def test_zero_cache_fraction_is_the_uncoded_system():
-    config = make_config(cache_fraction=0)
-    assert config.nominal_gain == 1
+    config = make_config(nominal_gain=1)
+    assert config.cache_subset_size == 0
+    assert config.cache_fraction == 0
 
 
 def test_scheme_parsing():
