@@ -79,6 +79,11 @@ def test_positional_construction_is_a_type_error():
 
 
 @pytest.mark.parametrize("overrides", [
+    dict(nominal_gain=0),                   # a transmission serves no group
+    dict(users_per_group=0),
+    dict(nominal_gain=5),                   # gain above the 4 cache states
+    dict(nominal_gain=2.0),                 # integral float, not an int
+    dict(users_per_group=1.5),
     dict(avg_snr=0.0),
     dict(avg_snr=float("nan")),
     dict(num_cache_states=0),
