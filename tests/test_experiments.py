@@ -849,6 +849,19 @@ def test_cli_figure_writes_one_csv_per_named_preset(tmp_path, capsys):
         assert open(path).readline().strip() == CSV_HEADER
 
 
+def test_cli_sweep_below_the_squared_rate_underflow_makes_error_rows(tmp_path):
+    # at -3000 dB the TDM rate is about 1e-300, whose square is 0: the gain
+    # error cannot be formed, so every row is a NumericsError row
+    out = tmp_path / "deep.csv"
+    assert main(["sweep", "--axis", "rho_db=-3000", "--gain", "2", "--users-per-group", "2",
+                 "--schemes", "tdm,mn,acc", "--trials", "1000", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [row["scheme"] for row in rows] == ["tdm", "mn", "acc"]
+    for row in rows:
+        assert row["error"].startswith("NumericsError: TDM reference rate"), row
+        assert row["rate_mean"] == row["gain"] == ""
+
+
 def test_exit_code_mapping_unit():
     assert exit_code_for(ParameterError("x")) == 2
     assert exit_code_for(NumericsError("y")) == 3

@@ -38,7 +38,8 @@ def stage_rate(snr):
     e = np.zeros((1, users, BLOCK_TRIALS, groups))
     e[0, :, 0, :] = snr.T
     _, scratch = rates._buffers(1, groups, users)
-    (values,) = rates._log_metrics(e, 1.0, [(groups, users)], 1, scratch)
+    controls = rates._controls(e, [(groups, users)], 1, scratch)
+    (values,) = rates._log_metrics(e, 1.0, [(groups, users)], controls, scratch)
     return float(values[0]) / LN2
 
 
@@ -155,7 +156,8 @@ def test_trial_rates_order_is_stable_across_chunks():
 
 def test_acc_trial_rates_match_the_out_of_place_formula():
     # the chunk metric is evaluated in place, one user at a time; it must
-    # equal the textbook expression on the same substream bit for bit.
+    # equal the out-of-place recurrence p += (1 + p) E_j rho on the same
+    # substream bit for bit, with one log1p of the smallest group's p.
     # Chunk i draws whole blocks, laid out (blocks, users, trials, groups),
     # from substream i + 1
     rho, gain, users, tail = 2.5, 3, 4, 500
@@ -165,8 +167,11 @@ def test_acc_trial_rates_match_the_out_of_place_formula():
         blocks = -(-count // BLOCK_TRIALS)
         u = substream(SeedSpec(base_seed=17, trial_index=chunk_index + 1)).random(
             (blocks, users, BLOCK_TRIALS, gain))
-        snr = -rho * np.log1p(-u)
-        expected.append(np.log1p(snr).mean(axis=1).min(axis=-1).reshape(-1)[:count])
+        e = -np.log1p(-u)
+        p = e[:, 0] * rho
+        for j in range(1, users):
+            p = p + (p + 1.0) * e[:, j] * rho
+        expected.append((np.log1p(p.min(axis=-1)) / users).reshape(-1)[:count])
     got = trial_rates(config, Scheme.ACC, CHUNK_TRIALS + tail, base_seed=17)
     np.testing.assert_array_equal(got, gain / LN2 * np.concatenate(expected))
 
@@ -214,6 +219,47 @@ def test_controls_match_the_textbook_reductions(gain, users, tied):
     assert len(got) == len(columns)
     for column, values in zip(columns, got):
         assert values.tobytes() == expected[column].reshape(-1)[:count].tobytes(), column
+
+
+#: Rounding bound of the ACC metric against the log-sum formula, in units of
+#: 2^-53 and with users b. log1p errs by at most 4 ulp, 8 units relative.
+#: The kernel's p has 4b - 3 roundings of nonnegative terms, and log1p(p)
+#: inherits p's relative error; then log1p and the division by b add 9:
+#: 4b + 6. The formula rounds each rho E (1 unit, which log1p inherits) and
+#: its log1p (8), then b - 1 additions and the division: b + 9. Their sum,
+#: 5b + 15, plus one for second-order terms.
+def _acc_rounding_bound(users):
+    return (5 * users + 16) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("rho_db", [-3000.0, -160.0, -40.0, 0.0, 30.0, 60.0])
+@pytest.mark.parametrize("gain,users", [(10, 6), (4, 32), (4, 64), (4, 128)])
+def test_acc_metric_is_the_log_sum_formula_to_rounding(gain, users, rho_db):
+    # the running group product gives the worst group's mean of
+    # ln(1 + rho E) to a few ulps at any SNR, one block or several
+    rho = 10.0 ** (rho_db / 10.0)
+    count = 2 * BLOCK_TRIALS - 40
+    e = _chunk_exponentials(41, 1, count, gain, users)
+    column = (gain, users)
+    _, scratch = rates._buffers(count, gain, users)
+    controls = rates._controls(e, [column], count, scratch)
+    (got,) = rates._log_metrics(e, rho, [column], controls, scratch)
+    formula = (np.log1p(rho * e).sum(axis=1).min(axis=-1) / users).reshape(-1)[:count]
+    assert np.all(formula > 0)
+    error = np.max(np.abs(got - formula) / formula)
+    assert error <= _acc_rounding_bound(users), (error, _acc_rounding_bound(users))
+
+
+@pytest.mark.parametrize("users,rho_db", [(64, 60.0), (128, 30.0)])
+def test_acc_rates_stay_finite_where_one_group_product_would_overflow(users, rho_db):
+    # a product of 1 + rho E over all the users could pass the largest
+    # double here, so the groups are split into blocks
+    rho = 10.0 ** (rho_db / 10.0)
+    assert rates._block_users(rho, users) < users
+    (estimate,) = mc_average_rates(4, users, [rho], ("tdm", "mn", "acc"), 2000, 8)
+    acc = estimate.rates[Scheme.ACC]
+    assert math.isfinite(acc.mean) and math.isfinite(acc.std_err)
+    assert estimate.rates[Scheme.MN].mean < acc.mean < 4 * estimate.rates[Scheme.TDM].mean
 
 
 # ---------------------------------------------------------------- effective gain
