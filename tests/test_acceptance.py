@@ -126,6 +126,7 @@ def min_gamma_mc(gain, users_per_group, samples, seed):
     return mean, math.sqrt(var / samples)
 
 
+@pytest.mark.slow
 def test_criterion_04_psi_oracle_equivalence():
     assert psi(3, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert psi(1, 4) == pytest.approx(4.0, rel=1e-12)

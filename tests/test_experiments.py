@@ -608,6 +608,14 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert result.stdout.strip() == "False", result.stderr
 
 
+def test_package_import_loads_no_submodule_and_no_scipy():
+    # names are imported from their modules, so the package itself is empty
+    code = ("import sys, cachecast; print(sorted(m for m in sys.modules "
+            "if m.startswith(('cachecast.', 'scipy'))))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout.strip() == "[]", result.stderr
+
+
 def test_zero_tolerance_fails_the_harness():
     config = SystemConfig.from_gain(2, 4, avg_snr=1.0)
     report = validate_system(config, num_trials=5_000, base_seed=42, tol_scale=0.0)
@@ -860,6 +868,24 @@ def test_cli_sweep_below_the_squared_rate_underflow_makes_error_rows(tmp_path):
     for row in rows:
         assert row["error"].startswith("NumericsError: TDM reference rate"), row
         assert row["rate_mean"] == row["gain"] == ""
+
+
+@pytest.mark.parametrize("schemes, rho_dbs", [
+    ("tdm", "-80"),
+    ("tdm,mn,acc", "-700,-1600"),
+])
+def test_cli_sweep_far_below_the_domain_keeps_a_positive_stderr(tmp_path, schemes, rho_dbs):
+    # there the control-corrected variance cancels to rounding; it is
+    # floored at the expansion's rounding bound instead of reading 0
+    out = tmp_path / "far.csv"
+    assert main(["sweep", "--axis", f"rho_db={rho_dbs}", "--gain", "2",
+                 "--users-per-group", "2", "--schemes", schemes, "--trials", "1000",
+                 "--seed", "3", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == len(schemes.split(",")) * len(rho_dbs.split(","))
+    for row in rows:
+        assert row["error"] == "", row
+        assert float(row["rate_stderr"]) > 0.0, row
 
 
 def test_exit_code_mapping_unit():

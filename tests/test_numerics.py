@@ -80,6 +80,23 @@ def test_exp_scaled_e1_matches_mpmath_below_the_crossover():
             assert exp_scaled_e1(float(a)) == pytest.approx(expected, rel=1e-13), f"a={a}"
 
 
+def test_exp_scaled_e1_matches_mpmath_to_a_few_ulp_above_10():
+    # the scipy product below a = 700 and the asymptotic series from there on
+    mpmath = pytest.importorskip("mpmath")
+    points = np.concatenate([np.geomspace(10.0, 1e6, 401),
+                             np.linspace(695.0, 705.0, 41), [np.nextafter(700.0, 0.0)]])
+    with mpmath.workdps(40):
+        for a in points:
+            exact = mpmath.exp(float(a)) * mpmath.e1(float(a))
+            error = abs((mpmath.mpf(exp_scaled_e1(float(a))) - exact) / exact)
+            assert error < 6e-16, f"a={a!r}: relative error {float(error):.3g}"
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 3.0, 9.999, 10.0, 100.0, 699.9])
+def test_exp_scaled_e1_is_the_scipy_product_below_700(a):
+    assert exp_scaled_e1(a) == math.exp(a) * float(special.exp1(a))
+
+
 def test_exp_scaled_e1_never_overflows():
     # e^a E1(a) -> 1/a; the unscaled factors would overflow past a ~ 710
     value = exp_scaled_e1(1e6)
