@@ -215,7 +215,7 @@ def _h_integral(gain: int) -> float:
     peak = -math.sqrt(2.0 * math.log(max(gain, 2)))
 
     def integrand(y):
-        return y * math.exp((gain - 1) * special.log_ndtr(-y) - 0.5 * y * y)
+        return y * math.exp((gain - 1) * cython_special.log_ndtr(-y) - 0.5 * y * y)
 
     value = _checked_quad(integrand, -40.0, 40.0, points=[peak, 0.0], abs_tol=1e-13,
                           rel_tol=1e-12, limit=500,
@@ -233,7 +233,7 @@ def _h_ghq(gain: int, order: int) -> float:
     log_sqrt_2pi = 0.5 * math.log(2.0 * math.pi)
 
     def mills(y):  # phi(y) / Phi(y)
-        return math.exp(-0.5 * y * y - log_sqrt_2pi - special.log_ndtr(y))
+        return math.exp(-0.5 * y * y - log_sqrt_2pi - cython_special.log_ndtr(y))
 
     # the log-integrand's slope -2y + k*mills(y) is convex and decreasing,
     # so Newton from 0 (left of the mode) climbs to it monotonically
@@ -266,6 +266,10 @@ def h_order_stat(gain: int, method: str = H_AUTO, ghq_order: int = 7) -> float:
     its curvature there. At order 7 it is within 5e-5 of the integral for
     gain <= 20, 3.1e-4 at gain 100 and 2.0e-3 at gain 1e4; gains 1 and 2
     are exact. The asymptote is loose until gain is very large.
+
+    The integral's integrand and GHQ's mode search call log Phi through
+    `cython_special`, as psi calls the incomplete gamma functions, at the
+    same bits as the `special` ufunc.
     """
     gain = check_int(gain, "gain")
     if method not in H_METHODS:

@@ -15,6 +15,7 @@ subnormal (past about 705); measured within 4.2e-16 relative of mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -83,10 +84,18 @@ def gauss_hermite_rule(order: int):
 
     Nodes are the roots of the degree-``order`` (physicists') Hermite
     polynomial; the rule is exact for polynomials of degree 2*order-1
-    against exp(-x^2).
+    against exp(-x^2). Each order's rule is computed once, by
+    numpy's hermgauss, and shared as read-only arrays.
     """
-    return np.polynomial.hermite.hermgauss(
-        check_int(order, "Gauss-Hermite order", maximum=_MAX_GH_ORDER))
+    return _gauss_hermite(check_int(order, "Gauss-Hermite order", maximum=_MAX_GH_ORDER))
+
+
+@functools.cache
+def _gauss_hermite(order: int):
+    rule = np.polynomial.hermite.hermgauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def _finish_times(stage, snr, subfile_size: float) -> list:
     stage = tuple(map(int, stage))
     if len(set(stage)) != len(stage):
         raise ParameterError(f"stage has repeated groups: {stage}")
-    if not all(0 <= g < mat.shape[0] for g in stage):
+    if stage and not (min(stage) >= 0 and max(stage) < mat.shape[0]):
         raise ParameterError(f"stage {stage} out of range for {mat.shape[0]} groups")
     rates = np.log2(1.0 + mat.take(stage, axis=0))
     if (rates <= 0.0).any():
@@ -180,19 +180,27 @@ def mn_stage_delay(group_user_snrs: Sequence[float], xor_size: float) -> float:
     # iterating rejects a scalar, and float() a nested row or a non-number;
     # a string would iterate as its characters
     try:
-        snrs = [float(s) for s in group_user_snrs]
+        snrs = list(map(float, group_user_snrs))
     except (TypeError, ValueError):
         snrs = []
     if not snrs or isinstance(group_user_snrs, (str, bytes)):
         raise ParameterError("group_user_snrs must be a nonempty 1-D collection")
-    # min and max skip a NaN that is not first, so every value is tested
-    if not all(0.0 <= s < math.inf for s in snrs):
+    worst = min(snrs)
+    # min skips a NaN that is not first, so every value is tested
+    if not (worst >= 0.0 and all(map(math.isfinite, snrs))):
         raise ParameterError("SNRs must be finite and nonnegative")
     check_positive(xor_size, "xor_size")
-    worst = min(snrs)
-    if worst == 0.0:
-        raise UnboundedDelayError("the worst served user has zero SNR")
-    return xor_size / math.log2(1.0 + worst)
+    return xor_size / _xor_rate(worst)
+
+
+def _xor_rate(worst: float) -> float:
+    """log2(1 + worst), the rate of an XOR stage. UnboundedDelayError where
+    it is zero: at a worst SNR of 0, and up to 2^-53, where 1 + SNR rounds
+    to 1."""
+    rate = math.log2(1.0 + worst)
+    if rate == 0.0:
+        raise UnboundedDelayError("the worst served user has zero rate")
+    return rate
 
 
 def validate_demands(config: SystemConfig, demands: Sequence[int]) -> tuple:
@@ -205,6 +213,27 @@ def validate_demands(config: SystemConfig, demands: Sequence[int]) -> tuple:
     return demands
 
 
+def _realizations(config: SystemConfig, snr_per_stage: Sequence, count: int,
+                  kind: str) -> np.ndarray:
+    """The session's realizations stacked into one (count, cache states,
+    users per group) array, each checked as SnrMatrix checks its own."""
+    if len(snr_per_stage) != count:
+        raise ParameterError(
+            f"{kind} session needs {count} realizations, got {len(snr_per_stage)}")
+    shape = (count, config.num_cache_states, config.users_per_group)
+    try:
+        mats = np.array([snr.snr if isinstance(snr, SnrMatrix) else snr
+                         for snr in snr_per_stage], dtype=float)
+    except (TypeError, ValueError):
+        mats = None
+    if mats is None or mats.shape != shape:
+        raise ParameterError(f"{kind} session realizations must stack to shape {shape}")
+    # numpy's min and max propagate NaN, which then fails both comparisons
+    if not (mats.min() >= 0.0 and mats.max() < math.inf):
+        raise ParameterError("SNRs must be finite and nonnegative")
+    return mats
+
+
 def full_session_delay(config: SystemConfig, demands: Sequence[int],
                        snr_per_stage: Sequence, scheme: Scheme) -> float:
     """Total delivery time of one complete session, one fresh realization
@@ -214,37 +243,40 @@ def full_session_delay(config: SystemConfig, demands: Sequence[int],
     so over the session every user receives exactly its missing
     (1 - cache_fraction) fraction. The aggregated scheme runs one stage per
     stage set; the XOR scheme repeats the whole stage schedule once per
-    group member.
+    group member, serving member r of every group in round r.
+
+    Every stage's duration comes from one array pass over the stacked
+    realizations, with the arithmetic of acc_stage_completion_closed_form
+    or mn_stage_delay on that stage alone, and the durations are added in
+    stage order, so the total has the bits of the stage-by-stage sum.
     """
     scheme = Scheme.parse(scheme)
     validate_demands(config, demands)
     stages = enumerate_stages(config)
+    n = len(stages)
     subfile_size = 1.0 / math.comb(config.num_cache_states, config.cache_subset_size)
+    served = np.array(stages)
 
     if scheme is Scheme.ACC:
-        if len(snr_per_stage) != len(stages):
-            raise ParameterError(
-                f"aggregated session needs {len(stages)} realizations, "
-                f"got {len(snr_per_stage)}")
-        return sum(
-            acc_stage_completion_closed_form(stage, snr, subfile_size)
-            for stage, snr in zip(stages, snr_per_stage))
+        mats = _realizations(config, snr_per_stage, n, "aggregated")
+        rates = np.log2(1.0 + mats[np.arange(n)[:, None], served])
+        stalled = ~rates.all(axis=(1, 2))
+        if stalled.any():  # the first such stage raises as it would alone
+            k = int(stalled.argmax())
+            _finish_times(stages[k], mats[k], subfile_size)
+        # cumsum adds along each group's users in order, as _finish_times does
+        completions = (subfile_size / rates).cumsum(axis=2)[:, :, -1].max(axis=1)
+        return sum(completions.tolist())
 
     if scheme is Scheme.MN:
         b = config.users_per_group
-        if len(snr_per_stage) != b * len(stages):
-            raise ParameterError(
-                f"XOR session needs {b * len(stages)} realizations, "
-                f"got {len(snr_per_stage)}")
+        mats = _realizations(config, snr_per_stage, b * n, "XOR")
+        rounds = np.arange(b)[:, None, None]
+        # [r, k, i]: member r of the i-th group of stage k, in realization r n + k
+        worst = mats[rounds * n + np.arange(n)[:, None], served, rounds].min(axis=2)
         total = 0.0
-        idx = 0
-        for round_idx in range(b):
-            for stage in stages:
-                snr = snr_per_stage[idx]
-                mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
-                column = mat[:, round_idx].tolist()
-                total += mn_stage_delay([column[g] for g in stage], subfile_size)
-                idx += 1
+        for w in worst.ravel().tolist():
+            total += subfile_size / _xor_rate(w)
         return total
 
     raise ParameterError("full_session_delay supports the MN and ACC schemes only")

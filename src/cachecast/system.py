@@ -118,14 +118,34 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        check_int(self.base_seed, "base_seed", minimum=0, maximum=2 ** 64 - 1)
-        check_int(self.trial_index, "trial_index", minimum=0)
+        base, index = self.base_seed, self.trial_index
+        # two Python ints in range pass without check_int's two calls
+        if not (type(base) is int and type(index) is int
+                and 0 <= base < 2 ** 64 and index >= 0):
+            check_int(base, "base_seed", minimum=0, maximum=2 ** 64 - 1)
+            check_int(index, "trial_index", minimum=0)
+
+
+_WORD = 0xFFFFFFFF
 
 
 def substream(seed: SeedSpec) -> np.random.Generator:
     """PCG64 generator for the substream named by ``seed``: the seed
-    sequence of ``base_seed`` spawned at key ``(trial_index,)``."""
-    seq = np.random.SeedSequence(int(seed.base_seed), spawn_key=(int(seed.trial_index),))
+    sequence of ``base_seed`` spawned at key ``(trial_index,)``.
+
+    The sequence is built from the entropy words numpy would assemble for
+    that spawn: each integer split into 32-bit words, least significant
+    first, the base seed's padded with zeros to the pool size of 4 (a seed
+    below 2^64 has at most 2), then the trial index's. numpy fixes a
+    SeedSequence's output for given entropy (NEP 19), so the stream is the
+    spawned one. Handing numpy the words skips its per-integer coercion,
+    which took longer than building the sequence from them.
+    """
+    base, index = int(seed.base_seed), int(seed.trial_index)
+    words = [base & _WORD, base >> 32, 0, 0, index & _WORD]
+    while index := index >> 32:
+        words.append(index & _WORD)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
 
 

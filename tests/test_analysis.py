@@ -48,7 +48,7 @@ def test_exact_mn_is_positive_and_scales_without_overflow():
     assert exact_mn_rate(1e-6, 10).value > 0.0
 
 
-def test_exact_mn_matches_mpmath_just_below_the_e1_crossover():
+def test_exact_mn_matches_mpmath_at_gain_over_snr_9():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         expected = float(9 / mpmath.log(2) * mpmath.exp(9) * mpmath.e1(9))

@@ -65,14 +65,14 @@ def test_ei_against_scipy(a):
 
 @pytest.mark.parametrize("a", [0.01, 1.0, 9.0, 11.0, 100.0, 1e4])
 def test_exp_scaled_e1_against_scipy(a):
-    # below the crossover the code is scipy's exp1, so the oracle is mpmath
+    # below a = 700 the code is scipy's exp1, so the oracle is mpmath
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         expected = float(mpmath.exp(a) * mpmath.e1(a))
     assert exp_scaled_e1(a) == pytest.approx(expected, rel=1e-13)
 
 
-def test_exp_scaled_e1_matches_mpmath_below_the_crossover():
+def test_exp_scaled_e1_matches_mpmath_from_8_to_10():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for a in np.linspace(8.0, 10.0, 41)[:-1]:
@@ -170,6 +170,18 @@ def test_even_gaussian_moments_up_to_exactness_degree(order):
         exact = math.gamma(m + 0.5)
         assert np.sum(weights * nodes ** (2 * m)) == pytest.approx(
             exact, rel=1e-9), f"moment 2m={2 * m} at order {order}"
+
+
+@pytest.mark.parametrize("order", [1, 7, 64])
+def test_rule_is_hermgauss_shared_read_only(order):
+    nodes, weights = gauss_hermite_rule(order)
+    expected = np.polynomial.hermite.hermgauss(order)
+    assert nodes.tobytes() == expected[0].tobytes()
+    assert weights.tobytes() == expected[1].tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+    assert gauss_hermite_rule(np.int64(order))[0] is nodes
 
 
 @pytest.mark.parametrize("order", [0, -3, 65, 7.5])

@@ -392,6 +392,94 @@ def test_session_realization_counts_are_enforced():
         full_session_delay(config, (0, 1), [snr], Scheme.ACC)
 
 
+@pytest.mark.parametrize("states, gain, b, db", [
+    (8, 4, 8, 0.0), (6, 3, 4, 10.0), (5, 2, 6, -10.0)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_session_is_the_stage_ordered_sum_of_its_stage_delays(states, gain, b, db, seed):
+    config = SystemConfig.from_gain(gain, b, 10.0 ** (db / 10.0), num_cache_states=states)
+    stages = enumerate_stages(config)
+    size = 1.0 / math.comb(states, gain - 1)
+    acc = [sample_snr(config, SeedSpec(seed, i)) for i in range(len(stages))]
+    mn = [sample_snr(config, SeedSpec(seed + 100, i)) for i in range(b * len(stages))]
+    demands = list(range(config.num_users))
+    expected = sum(acc_stage_completion_closed_form(stage, snr, size)
+                   for stage, snr in zip(stages, acc))
+    assert full_session_delay(config, demands, acc, Scheme.ACC).hex() == expected.hex()
+    expected = 0.0
+    for r in range(b):
+        for k, stage in enumerate(stages):
+            expected += mn_stage_delay([mn[r * len(stages) + k].snr[g, r] for g in stage], size)
+    assert full_session_delay(config, demands, mn, Scheme.MN).hex() == expected.hex()
+    # raw arrays and nested lists give the same totals as the SnrMatrix
+    assert (full_session_delay(config, demands, [m.snr.tolist() for m in mn], Scheme.MN).hex()
+            == expected.hex())
+
+
+SESSION_CONFIG = SystemConfig(nominal_gain=2, users_per_group=2, num_cache_states=3,
+                              avg_snr=1.0)
+
+
+def session_arrays(scheme, where=None, value=None):
+    """Unit-SNR raw arrays for every realization of a SESSION_CONFIG
+    session, with `value` at (realization, group, user) `where`."""
+    count = {Scheme.ACC: 3, Scheme.MN: 6}[scheme]
+    mats = np.ones((count, 3, 2))
+    if where is not None:
+        mats[where] = value
+    return list(mats)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ACC, Scheme.MN])
+@pytest.mark.parametrize("value", [float("nan"), -0.5, -2.0, float("inf"), float("-inf")])
+def test_session_rejects_a_non_finite_or_negative_snr(scheme, value):
+    # an unserved entry too: stage 0 serves groups 0 and 1, member 0 in round 0
+    for where in ((0, 1, 0), (0, 2, 1)):
+        with pytest.raises(ParameterError):
+            full_session_delay(SESSION_CONFIG, range(6), session_arrays(scheme, where, value),
+                               scheme)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ACC, Scheme.MN])
+@pytest.mark.parametrize("count_change", [-1, 1])
+def test_session_rejects_a_wrong_realization_count(scheme, count_change):
+    mats = session_arrays(scheme)
+    mats = mats[:-1] if count_change < 0 else mats + mats[:1]
+    with pytest.raises(ParameterError, match="realizations, got"):
+        full_session_delay(SESSION_CONFIG, range(6), mats, scheme)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ACC, Scheme.MN])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (3, 1), (2, 2), (6,)], ids=str)
+def test_session_rejects_realizations_of_another_topology(scheme, shape):
+    mats = session_arrays(scheme)
+    mats[-1] = np.ones(shape)
+    with pytest.raises(ParameterError, match="stack to shape"):
+        full_session_delay(SESSION_CONFIG, range(6), mats, scheme)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-17])
+def test_session_with_a_served_zero_rate_never_finishes(value):
+    # stage (0, 2) is realization 1; its group 2 user 1 is served in round 1
+    with pytest.raises(UnboundedDelayError, match=re.escape("[(2, 1)]")):
+        full_session_delay(SESSION_CONFIG, range(6),
+                           session_arrays(Scheme.ACC, (1, 2, 1), value), Scheme.ACC)
+    with pytest.raises(UnboundedDelayError):
+        full_session_delay(SESSION_CONFIG, range(6),
+                           session_arrays(Scheme.MN, (3 + 1, 2, 1), value), Scheme.MN)
+    with pytest.raises(UnboundedDelayError):
+        mn_stage_delay([1.0, value], 1.0)
+
+
+def test_session_ignores_an_unserved_zero_rate():
+    # realization 0 serves groups 0 and 1 only; realization 3 serves member 1
+    acc = session_arrays(Scheme.ACC, (0, 2, 0), 0.0)
+    mn = session_arrays(Scheme.MN, (3, 0, 0), 0.0)
+    # a stage serves each group's two unit-SNR users, one after the other, at
+    # rate 1 with segments of 1/3; a round's XOR stages take 1/3 each
+    assert full_session_delay(SESSION_CONFIG, range(6), acc, Scheme.ACC) == pytest.approx(2.0)
+    assert full_session_delay(SESSION_CONFIG, range(6), mn, Scheme.MN) == pytest.approx(2.0)
+
+
 def textbook_finish_times(stage, mat, size):
     rates = np.log2(1.0 + np.asarray(mat)[list(stage), :]).tolist()
     return [list(accumulate(size / rate for rate in row)) for row in rates]

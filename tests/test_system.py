@@ -134,7 +134,11 @@ def test_substreams_are_reproducible_and_distinct():
     assert not np.array_equal(a1, b)
 
 
-@pytest.mark.parametrize("base_seed,trial_index", [(0, 0), (11, 1), (2 ** 64 - 1, 8193)])
+@pytest.mark.parametrize("base_seed,trial_index", [
+    (0, 0), (11, 1), (2 ** 64 - 1, 8193),
+    # a base seed's last one-word and first two-word values, and trial
+    # indices of two words
+    (2 ** 32 - 1, 2 ** 32), (2 ** 32, 2 ** 40 + 3)])
 def test_substream_is_pcg64_on_the_spawned_seed_sequence(base_seed, trial_index):
     seq = np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
     expected = np.random.Generator(np.random.PCG64(seq)).random(1000)
