@@ -1,17 +1,26 @@
 """Closed-form average rates, approximations, and limits.
 
 Covers the exact XOR-multicast (MN) rate, its low-SNR second-order form and
-exact gain, the exact aggregated (ACC) rate by characteristic-function
-inversion, the low-SNR multinomial constant and rate, the large-group-size
-normal approximation with the expected-extreme constant H, and the
-low-SNR and many-users limits of the aggregated-to-XOR rate ratio.
+exact gain, the exact aggregated (ACC) rate by lattice FFT convolution, the
+CDF of a group's capacity sum by characteristic-function inversion, the
+low-SNR multinomial constant and rate, the large-group-size normal
+approximation with the expected-extreme constant H, and the low-SNR and
+many-users limits of the aggregated-to-XOR rate ratio.
+
+The exact ACC rate needs E[min over groups of a group sum].
+`lattice_expected_min` computes it for any variable given by its CDF and
+two cut-offs: cell masses on a lattice of step h are convolved by FFT,
+cell floors and ceilings bracket the result within users_per_group * h,
+and Richardson extrapolation over halvings of h brings the error bar
+within 1e-9 relative, or NumericsError is raised. On ln(1+SNR) it spans
+-40..60 dB in milliseconds.
 
 Conventions: rates are bits/s/Hz; `gain` is the nominal multicast size
 (number of simultaneously served groups); `users_per_group` is the number
-of users sharing one cache state. All functions are pure; the inversion
-keeps one characteristic-function table per average SNR and one inversion
-per (SNR, users_per_group) for the life of the process, and their arrays
-are read-only.
+of users sharing one cache state. All functions are pure; the CDF
+inversion keeps one characteristic-function table per average SNR and one
+inversion per (SNR, users_per_group) for the life of the process, and
+their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import interpolate, special
+from scipy.fft import next_fast_len
 from scipy.special import cython_special
 
 from .errors import NumericsError, ParameterError, check_int, check_positive
@@ -307,14 +317,114 @@ def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
 
 
 # ---------------------------------------------------------------------------
-# exact aggregated rate by characteristic-function inversion
+# expected minimum of group sums on a lattice
+# ---------------------------------------------------------------------------
+
+#: Relative budget of the lattice's error bar.
+LATTICE_REL_TOL = 1e-9
+
+#: Most cells one convolution may hold: users_per_group times the cells of
+#: one user's lattice.
+LATTICE_MAX_CELLS = 2 ** 21
+
+#: Cells of the pilot lattice that sizes the first step.
+_PILOT_CELLS = 4096
+
+#: Steps per standard deviation of the group sum on the first lattice.
+_FIRST_STEPS_PER_SD = 8
+
+
+def _cell_masses(cdf, lower: float, h: float, n: int) -> np.ndarray:
+    """Masses of n cells of width h from `lower`; the mass below the first
+    cell joins it and the mass beyond the last joins that one."""
+    edge_cdf = cdf(lower + h * np.arange(n + 1))
+    edge_cdf[0], edge_cdf[-1] = 0.0, 1.0
+    return np.diff(edge_cdf)
+
+
+def _lattice_floor(cdf, lower, upper, b, g, h):
+    """(E[min over g groups of the sum of b cell floors], cells per user),
+    the cell floors being the variable rounded down to the lattice."""
+    n = math.ceil((upper - lower) / h)
+    masses = _cell_masses(cdf, lower, h, n)
+    if b > 1:
+        # zero-padded past the b(n-1) top cell of the sum, so the circular
+        # convolution does not wrap
+        size = next_fast_len(b * n, real=True)
+        masses = np.fft.irfft(np.fft.rfft(masses, size) ** b, size)[:b * (n - 1) + 1]
+    survival = np.clip(1.0 - np.cumsum(masses), 0.0, 1.0)
+    return b * lower + h * float(np.sum(survival ** g)), n
+
+
+def lattice_expected_min(cdf, lower: float, upper: float, users_per_group: int,
+                         gain: int) -> float:
+    """E[min over `gain` groups of the sum of `users_per_group` i.i.d.
+    copies of a variable], the variable given by its vectorized `cdf` and
+    cut at `lower` and `upper`.
+
+    Lattice FFT convolution (Embrechts & Frei 2009): the variable's masses
+    on cells of width h, their rFFT raised to the power users_per_group and
+    inverted give the distribution of the sum of cell floors, and
+    E[min] = b lower + h sum_j P(sum > j)^gain on it. Cell floors and
+    ceilings bracket the true value within b h; the midpoint m(h) has an
+    O(h^2) error, removed by the Richardson values (4 m(h/2) - m(h))/3 of
+    successive halvings. The first step is the standard deviation of the
+    group sum over 8, that deviation taken from a pilot lattice of 4096
+    cells. The step is halved until the gap between the last two Richardson
+    values, the error bar, is at most LATTICE_REL_TOL relative; the value
+    is those two extrapolated once more, (16 R(h/2) - R(h))/15.
+
+    Raises NumericsError when the next lattice would exceed
+    LATTICE_MAX_CELLS before the budget is met, when the ratio of the last
+    two successive differences of m is not within 10% of 4 while the finer
+    one exceeds the budget, or when the value leaves the finest bracket.
+    Mass beyond the cut-offs is moved onto the end cells.
+    """
+    b = check_int(users_per_group, "users_per_group")
+    g = check_int(gain, "gain")
+    what = f"lattice expected minimum (users_per_group={b}, gain={g})"
+    pilot = (upper - lower) / _PILOT_CELLS
+    masses = _cell_masses(cdf, lower, pilot, _PILOT_CELLS)
+    centres = lower + pilot * (np.arange(_PILOT_CELLS) + 0.5)
+    mean = float(masses @ centres)
+    sd = math.sqrt(b * float(masses @ (centres - mean) ** 2))
+    if not sd > 0.0:
+        raise NumericsError(f"{what}: the pilot lattice resolves no spread between "
+                            f"the cut-offs {lower} and {upper}")
+    h = sd / _FIRST_STEPS_PER_SD
+    mids = []
+    while True:
+        floor, n = _lattice_floor(cdf, lower, upper, b, g, h)
+        mids.append(floor + 0.5 * b * h)
+        if len(mids) >= 3:
+            d1, d2 = mids[-3] - mids[-2], mids[-2] - mids[-1]
+            r1, r2 = mids[-2] - d1 / 3.0, mids[-1] - d2 / 3.0
+            error_bar, tol = abs(r2 - r1), LATTICE_REL_TOL * abs(r2)
+            if error_bar <= tol:
+                break
+        if 2 * b * n > LATTICE_MAX_CELLS:
+            bar = f"error bar {error_bar:.2e}" if len(mids) >= 3 else "no error bar yet"
+            raise NumericsError(
+                f"{what} did not meet its {LATTICE_REL_TOL:.0e} relative budget within "
+                f"{LATTICE_MAX_CELLS} cells: {bar} at step {h:.3e}")
+        h /= 2.0
+    if abs(d2) > tol and not 3.6 <= d1 / d2 <= 4.4:
+        raise NumericsError(f"{what}: successive differences have ratio {d1 / d2:.4g}, "
+                            f"not near 4, so the error is not O(h^2) within the "
+                            f"{LATTICE_REL_TOL:.0e} budget")
+    value = r2 + (r2 - r1) / 15.0
+    if not floor <= value <= floor + b * h:
+        raise NumericsError(f"{what}: {value!r} left the bracket [{floor!r}, "
+                            f"{floor + b * h!r}] within the {LATTICE_REL_TOL:.0e} budget")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# group-sum CDF by characteristic-function inversion
 # ---------------------------------------------------------------------------
 
 #: Absolute CDF error allotted to truncating the inversion integral.
 _CDF_TAIL_TOL = 1e-8
-
-#: Outer integration stops once survival^gain drops below this.
-_SURVIVAL_CUTOFF = 1e-12
 
 
 class _CharFnTable:
@@ -375,8 +485,7 @@ def _interp(x: float, xp, fp) -> float:
 
 class _MinSumInversion:
     """Survival function of S = sum over the group of ln(1+SNR), recovered
-    from phi^users_per_group by inversion of the characteristic function,
-    plus the expected minimum across `gain` groups."""
+    from phi^users_per_group by inversion of the characteristic function."""
 
     def __init__(self, rho: float, users_per_group: int):
         self.rho = rho
@@ -389,8 +498,6 @@ class _MinSumInversion:
             self._t, self._im_over_t, self._re_over_t = (
                 memoryview(arr).toreadonly()
                 for arr in (self.table.t_grid, power.imag / safe_t, power.real / safe_t))
-        self.mean_sum = users_per_group * mean_log1p_snr(rho)
-        self.std_sum = math.sqrt(users_per_group) * std_log1p_snr(rho)
 
     def survival(self, y: float) -> float:
         """P(S > y) = 1/2 + (1/pi) * integral of Im{e^{-jty} phi^B}/t dt."""
@@ -422,24 +529,6 @@ class _MinSumInversion:
     def survival_clipped(self, y: float) -> float:
         return min(1.0, max(0.0, self.survival(y)))
 
-    def expected_min(self, gain: int) -> float:
-        """E[min over `gain` groups of S] = integral of survival^gain."""
-        y_hi = self.mean_sum + 12.0 * self.std_sum + 1.0
-        for _ in range(25):
-            tail = self.survival_clipped(y_hi) ** gain
-            if tail < _SURVIVAL_CUTOFF:
-                break
-            y_hi *= 1.3
-        else:
-            if self.survival_clipped(y_hi) > 1e-6:
-                raise NumericsError(
-                    f"survival tail would not drop below cutoff by y={y_hi:.3g} "
-                    f"(rho={self.rho}, users_per_group={self.b})")
-        return _checked_quad(
-            lambda y: self.survival_clipped(y) ** gain, 0.0, y_hi,
-            abs_tol=1e-9, rel_tol=1e-7, limit=500,
-            what=f"expected minimum (rho={self.rho}, b={self.b}, gain={gain})")
-
 
 #: one table per rho, one inversion per (rho, users_per_group) and one
 #: Gauss-Legendre rule per order, each kept for the life of the process
@@ -459,23 +548,21 @@ def capacity_sum_cdf(y: float, rho: float, users_per_group: int) -> float:
 
 
 def acc_rate_exact_integral(rho: float, users_per_group: int, gain: int) -> ApproxResult:
-    """Exact aggregated average rate as a double integral: the survival
-    function of each group's capacity sum is recovered from its
-    characteristic function, raised to the number of served groups, and
-    integrated to give the expected worst-group sum.
+    """Exact aggregated average rate, gain/(users_per_group ln 2) times the
+    expected minimum over `gain` groups of the group sum of ln(1+SNR).
 
-    Requires at least two users per group: with one, the closed form
-    exact_mn_rate applies and the inversion integrand would decay too
-    slowly to be worth inverting.
-
-    Measured domain at (users_per_group, gain) = (2, 2): -30 dB converges
-    (83 s on a 2-core host), while -40 dB and 60 dB raise NumericsError in
-    the expected-minimum quadrature (after 35 s and 146 s), so the
-    inversion does not span -40..60 dB.
+    The expected minimum is lattice_expected_min on the CDF
+    1 - exp(-expm1(y)/rho) of ln(1+SNR), cut at 0 and log1p(40 rho), where
+    the mass left above is exp(-40). Its error bar is within LATTICE_REL_TOL
+    = 1e-9 relative, or NumericsError is raised. At one user per group it is
+    exact_mn_rate. Measured at (users_per_group, gain) = (2, 2) on a 2-core
+    host: 1.8 ms at -40 dB, 0.6 ms at 0 dB and 0.5 ms at 60 dB; 64 users
+    per group and gain 20 at -40 dB take 60 ms.
     """
     rho = check_positive(rho, "rho")
-    b = check_int(users_per_group, "users_per_group", minimum=2)
+    b = check_int(users_per_group, "users_per_group")
     gain = check_int(gain, "gain")
-    expected_min = _inversion(rho, b).expected_min(gain)
+    expected_min = lattice_expected_min(lambda y: -np.expm1(-np.expm1(y) / rho),
+                                        0.0, math.log1p(40.0 * rho), b, gain)
     value = gain / (b * LN2) * expected_min
     return ApproxResult(value=value, method=EXACT_ACC_INTEGRAL)

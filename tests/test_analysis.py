@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,7 @@ from cachecast.analysis import (
     psi,
     std_log1p_snr,
 )
-from cachecast.errors import ParameterError
+from cachecast.errors import NumericsError, ParameterError
 from cachecast.rates import mc_average_rate
 from cachecast.system import Scheme, SystemConfig
 
@@ -440,9 +441,15 @@ def test_moments_are_positive_and_monotone_in_rho():
 
 # ---------------------------------------------------------------- exact ACC integral
 
-def test_exact_integral_requires_two_users_per_group():
-    with pytest.raises(ParameterError):
-        acc_rate_exact_integral(1.0, 1, 2)
+def test_exact_integral_at_one_user_per_group_is_exact_mn():
+    # the group sum is one user's ln(1+SNR), so the worst group is MN's
+    # worst user: an independent oracle of the lattice at b = 1
+    for rho_db in (-40.0, -20.0, 0.0, 30.0, 60.0):
+        rho = 10.0 ** (rho_db / 10.0)
+        for gain in (1, 2, 10, 20):
+            lattice = acc_rate_exact_integral(rho, 1, gain).value
+            exact = exact_mn_rate(rho, gain).value
+            assert abs(lattice - exact) <= 1e-12 * exact, (rho_db, gain)
 
 
 def test_capacity_sum_cdf_is_a_cdf():
@@ -478,6 +485,74 @@ def log1p_snr_sum_chernoff_bound(y, rho, users_per_group):
     best = optimize.minimize_scalar(log_bound, bounds=(1e-6, 60.0), method="bounded",
                                     options={"xatol": 1e-8})
     return math.exp(best.fun)
+
+
+def two_user_expected_min(rho, gain):
+    """E[min over `gain` groups of X1 + X2] = integral over y >= 0 of
+    (1 - P(X1 + X2 <= y))^gain, split at pair sums of SNR quantile scales."""
+    edges = [0.0] + [2.0 * math.log1p(rho * x) for x in (0.25, 1.0, 3.0, 40.0)]
+    return math.fsum(
+        integrate.quad(lambda y: (1.0 - log1p_snr_sum_cdf_two_users(y, rho)) ** gain,
+                       lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("rho_db", [-40.0, -20.0, 0.0, 30.0, 60.0])
+@pytest.mark.parametrize("gain", [2, 4])
+def test_exact_integral_meets_its_budget_across_the_domain(rho_db, gain):
+    rho = 10.0 ** (rho_db / 10.0)
+    expected = gain / (2.0 * LN2) * two_user_expected_min(rho, gain)
+    value = acc_rate_exact_integral(rho, 2, gain).value
+    assert abs(value - expected) <= 1e-9 * expected
+
+
+def test_exact_integral_matches_a_triple_quadrature_at_three_users_per_group():
+    # P(X1 + X2 + X3 <= y) as the density of X1 against the two-user CDF
+    rho, gain = 10.0, 4
+
+    def cdf_three(y):
+        return integrate.quad(
+            lambda u: (math.exp(u - math.expm1(u) / rho) / rho
+                       * log1p_snr_sum_cdf_two_users(y - u, rho)),
+            0.0, y, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+    edges = [0.0] + [3.0 * math.log1p(rho * x) for x in (0.25, 1.0, 3.0, 40.0)]
+    expected_min = math.fsum(
+        integrate.quad(lambda y: (1.0 - cdf_three(y)) ** gain, lo, hi, epsabs=0.0,
+                       epsrel=1e-10, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:]))
+    expected = gain / (3.0 * LN2) * expected_min
+    assert abs(acc_rate_exact_integral(rho, 3, gain).value - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("rho_db", [-40.0, -20.0, 0.0, 30.0, 60.0])
+def test_exact_integral_is_finite_or_names_its_budget_on_the_grid(rho_db):
+    rho = 10.0 ** (rho_db / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (1, 2, 3, 16, 64):
+            for gain in (1, 2, 10, 20):
+                try:
+                    value = acc_rate_exact_integral(rho, b, gain).value
+                except NumericsError as exc:
+                    assert "budget" in str(exc), (b, gain, str(exc))
+                else:
+                    assert math.isfinite(value) and value > 0.0, (b, gain, value)
+
+
+def test_lattice_raises_naming_its_budget_at_the_cell_cap(monkeypatch):
+    monkeypatch.setattr(analysis, "LATTICE_MAX_CELLS", 4096)
+    with pytest.raises(NumericsError, match="budget"):
+        acc_rate_exact_integral(1e-4, 64, 20)
+
+
+@pytest.mark.parametrize("gain", [1, 4, 10])
+def test_lattice_takes_any_cell_cdf(gain):
+    # ln E for E ~ Exp(1): the minimum over `gain` copies is ln(E/gain),
+    # whose mean is -gamma - ln(gain)
+    value = analysis.lattice_expected_min(lambda y: -np.expm1(-np.exp(y)),
+                                          -40.0, math.log(60.0), 1, gain)
+    assert abs(value - (-np.euler_gamma - math.log(gain))) <= 1e-10
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: the inversion misses its 1e-8 "
