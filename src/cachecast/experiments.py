@@ -257,8 +257,9 @@ def _mc_estimates(spec):
     with its time: one draw per chunk serves all their SNRs and every
     scheme, TDM always included as the gain reference. A CachecastError
     stands in for the estimate of its shape's points, whose rows become
-    error rows. The log record also gives the throughput, trials times SNRs
-    per second."""
+    error rows. The log record also gives the worker count, the seconds
+    spent drawing and building the metrics, and the throughput, trials
+    times SNRs per second."""
     shapes = {}
     for index, value in enumerate(spec.axis_values):
         rho, users_per_group, gain = spec.point(value)
@@ -273,17 +274,21 @@ def _mc_estimates(spec):
         for scheme in (("acc", "mn") if name == MC_RATIO else (name,))]))
     estimates = {}
     for (gain, users_per_group), points in shapes.items():
+        timings = {"workers": 0, "draw_s": 0.0, "metrics_s": 0.0}
         started = time.perf_counter()
         try:
             shared = mc_average_rates(gain, users_per_group, [rho for _, rho in points],
                                       schemes, spec.num_trials,
-                                      _mc_seed(spec.base_seed, gain, users_per_group))
+                                      _mc_seed(spec.base_seed, gain, users_per_group),
+                                      timings=timings)
         except CachecastError as exc:
             shared = [exc] * len(points)
         seconds = time.perf_counter() - started
         log.info("shared estimation gain=%d users_per_group=%d: %d SNRs, %d trials, "
-                 "%.0f trial-SNRs/s, %.6f s", gain, users_per_group, len(points),
-                 spec.num_trials, spec.num_trials * len(points) / seconds, seconds)
+                 "%d workers, draw %.6f s, metrics %.6f s, %.0f trial-SNRs/s, %.6f s",
+                 gain, users_per_group, len(points), spec.num_trials, timings["workers"],
+                 timings["draw_s"], timings["metrics_s"],
+                 spec.num_trials * len(points) / seconds, seconds)
         estimates.update((index, estimate) for (index, _), estimate in zip(points, shared))
     return estimates
 

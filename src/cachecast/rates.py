@@ -36,15 +36,25 @@ requested scheme, rho, num_trials, base_seed): every chunk returns the
 centred co-moments of its metrics and controls at each SNR, and these merge
 in a fixed tree order, so the result is bit-identical for any worker count
 and does not depend on which other SNRs are estimated alongside.
+
+The workers share each chunk. Each draws a run of its blocks from its own
+generator on the chunk's substream, advanced past the earlier blocks: a
+PCG64 stream gives one 64-bit output per double and jumps any number of
+outputs ahead in O(log n) steps, so the pieces hold the bits of one draw.
+Then the SNRs are dealt round-robin, each worker building its metrics in
+its own scratch arrays. The calling thread is one of the workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -97,20 +107,33 @@ class GainEstimate:
 @dataclass(frozen=True)
 class SharedEstimate:
     """Estimates of several schemes' average rates at one SNR from common
-    draws, with the covariance of every pair of them."""
+    draws, with the covariance of every pair of them. Schemes with the same
+    `column` index are one per-trial metric."""
 
     rates: dict
     covariance: dict
+    column: dict
 
     def gain(self, scheme, reference=Scheme.TDM) -> GainEstimate:
-        """Ratio of the scheme's rate to the reference scheme's."""
+        """Ratio of the scheme's rate to the reference scheme's. A column
+        over itself has no error, also where the squared standard error
+        that its covariance holds underflows to 0."""
         scheme, reference = Scheme.parse(scheme), Scheme.parse(reference)
-        return effective_gain(self.rates[scheme], self.rates[reference],
+        gain = effective_gain(self.rates[scheme], self.rates[reference],
                               self.covariance[scheme, reference])
+        if self.column[scheme] == self.column[reference]:
+            gain = replace(gain, std_err=0.0)
+        return gain
 
 
 def _worker_count() -> int:
-    workers = os.environ.get(WORKERS_ENV_VAR, "1")
+    """CACHECAST_WORKERS, or else the number of cores this process may run
+    on."""
+    workers = os.environ.get(WORKERS_ENV_VAR)
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         count = int(workers)
     except ValueError:
@@ -126,27 +149,42 @@ def _scheme_columns(gain: int, users_per_group: int, schemes):
     return {scheme: shapes[scheme] for scheme in schemes}
 
 
-def _buffers(count, groups, users):
-    """One worker's buffers for chunks of up to `count` trials of a
-    (groups, users) draw: a flat array the draws fill, and three arrays in
-    which _log_metrics builds the ACC metric, the third only for groups
-    longer than one block (_block_users). Made once per estimation, so
-    chunks do not hand fresh arrays to the OS and fault them in again."""
-    blocks = -(-count // BLOCK_TRIALS)
-    shape = (blocks, BLOCK_TRIALS, groups)
-    return np.empty(blocks * users * BLOCK_TRIALS * groups), tuple(np.empty(shape) for _ in range(3))
+def _draw_buffer(count, groups, users):
+    """A flat array that holds the draws of a chunk of up to `count`
+    trials of a (groups, users) shape (_exponentials)."""
+    return np.empty(-(-count // BLOCK_TRIALS) * users * BLOCK_TRIALS * groups)
+
+
+def _scratch(count, groups, arrays=3):
+    """`arrays` (blocks, BLOCK_TRIALS, groups) arrays for chunks of up to
+    `count` trials, in which one worker builds the ACC metric: two, and a
+    third for groups longer than one block (_block_users). Made once per
+    estimation, so chunks do not hand fresh arrays to the OS and fault them
+    in again."""
+    shape = (-(-count // BLOCK_TRIALS), BLOCK_TRIALS, groups)
+    return tuple(np.empty(shape) for _ in range(arrays))
 
 
 def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
-                  users: int, out: np.ndarray) -> np.ndarray:
+                  users: int, out: np.ndarray, start: int = 0, stop: int | None = None):
     """Standard exponentials E = -ln(1-u) of one substream chunk, in the
     whole blocks that hold its first `count` trials, laid out (blocks,
     users, BLOCK_TRIALS, groups) at the front of the flat buffer `out`. The
     block axis is outermost, so a trial's draws do not depend on how many
-    trials the chunk holds."""
+    trials the chunk holds.
+
+    Only blocks start <= i < stop are drawn, all by default, from the
+    substream advanced past the earlier blocks' outputs (one per double),
+    so any split of the blocks draws the bits of a single draw. Returns
+    the whole chunk's view of `out`."""
     shape = (-(-count // BLOCK_TRIALS), users, BLOCK_TRIALS, groups)
-    return exponentials(substream(SeedSpec(base_seed=base_seed, trial_index=substream_index)),
-                        shape, out=out[:math.prod(shape)].reshape(shape))
+    chunk = out[:math.prod(shape)].reshape(shape)
+    rng = substream(SeedSpec(base_seed=base_seed, trial_index=substream_index))
+    if start:
+        rng.bit_generator.advance(start * math.prod(shape[1:]))
+    blocks = chunk[start:stop]
+    exponentials(rng, blocks.shape, out=blocks)
+    return chunk
 
 
 def _group_min(values):
@@ -195,8 +233,8 @@ def _product_minus_one(e, rho, start, stop, p, term):
 
 def _log_metrics(e, rho, columns, controls, scratch):
     """Each column's natural-log metric at SNR rho, from the columns'
-    `controls` and the three (blocks, BLOCK_TRIALS, groups) arrays of
-    `scratch`, with one log1p per trial.
+    `controls` and the (blocks, BLOCK_TRIALS, groups) arrays of `scratch`
+    (_scratch), with one log1p per trial.
 
     A single-user column is ln(1 + rho c) of its control c, the smallest E:
     fl(rho x) and log1p are monotone, so this is the minimum of
@@ -216,12 +254,13 @@ def _log_metrics(e, rho, columns, controls, scratch):
             values = np.multiply(control, rho)
             out.append(np.log1p(values, out=values))
             continue
-        p, term, total = (array[:len(e)] for array in scratch)
+        p, term = scratch[0][:len(e)], scratch[1][:len(e)]
         step = _block_users(rho, users)
         if step == users:
             least = _group_min(_product_minus_one(e, rho, 0, users, p, term)[..., :groups])
             np.log1p(least, out=least)
         else:
+            total = scratch[2][:len(e)]
             total.fill(0.0)
             for start in range(0, users, step):
                 product = _product_minus_one(e, rho, start, min(start + step, users), p, term)
@@ -231,23 +270,55 @@ def _log_metrics(e, rho, columns, controls, scratch):
     return out
 
 
-def _chunk_moments(args, buffers):
-    """(trials, mean, centred co-moments) of the metrics and then the
-    controls of every column, one row per SNR, drawn into a worker's
-    `buffers`."""
-    columns, rhos, base_seed, substream_index, count = args
-    draws, scratch = buffers
-    # sorted, the last column is the widest in both groups and users
-    e = _exponentials(base_seed, substream_index, count, *columns[-1], draws)
-    controls = _controls(e, columns, count, scratch)
-    means, comoments = [], []
+def _snr_moments(e, rhos, columns, controls, scratch):
+    """(mean, centred co-moments) of the metrics and then the controls of
+    every column at each SNR of `rhos`, built in one worker's `scratch`."""
+    moments = []
     for rho in rhos:
         values = np.stack(_log_metrics(e, rho, columns, controls, scratch) + controls)
         mean = values.mean(axis=1)
         values -= mean[:, None]
-        means.append(mean)
         # einsum, not BLAS: its sums do not depend on the thread count
-        comoments.append(np.einsum("ik,jk->ij", values, values))
+        moments.append((mean, np.einsum("ik,jk->ij", values, values)))
+    return moments
+
+
+def _on_workers(pool, jobs):
+    """Results of the callables `jobs`, in order: the first run by the
+    calling thread, the others by the pool's helper threads."""
+    futures = [pool.submit(job) for job in jobs[1:]]
+    try:
+        first = jobs[0]()
+    finally:
+        wait(futures)  # no helper is left writing to the shared arrays
+    return [first] + [future.result() for future in futures]
+
+
+def _chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers, timings):
+    """(trials, mean, centred co-moments) of the metrics and then the
+    controls of every column, one row per SNR, of the chunk (substream,
+    trials). Each of the `workers` draws a run of the blocks into `draws`;
+    then the calling thread builds the controls, and the i-th scratch set's
+    worker takes every len(scratch)-th SNR from the i-th. `timings` gathers
+    the seconds of the draw and of the metrics."""
+    substream_index, count = chunk
+    started = time.perf_counter()
+    blocks = -(-count // BLOCK_TRIALS)
+    bounds = [blocks * w // workers for w in range(workers + 1)]
+    draw = partial(_exponentials, base_seed, substream_index, count, *columns[-1], draws)
+    e = _on_workers(pool, [partial(draw, start, stop)
+                           for start, stop in zip(bounds, bounds[1:]) if start < stop])[0]
+    drawn = time.perf_counter()
+    controls = _controls(e, columns, count, scratch[0])
+    dealt = len(scratch)
+    shares = _on_workers(pool, [partial(_snr_moments, e, rhos[w::dealt], columns, controls,
+                                        scratch[w]) for w in range(dealt)])
+    moments = [None] * len(rhos)
+    for w, share in enumerate(shares):
+        moments[w::dealt] = share
+    timings["draw_s"] += drawn - started
+    timings["metrics_s"] += time.perf_counter() - drawn
+    means, comoments = zip(*moments)
     return count, np.array(means), np.array(comoments)
 
 
@@ -301,15 +372,20 @@ def check_run(num_trials, base_seed):
 
 
 def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials: int,
-                     base_seed: int) -> list:
+                     base_seed: int, timings: dict | None = None) -> list:
     """Monte Carlo estimates of the schemes' average sum rates in
     bits/s/Hz at every SNR in `rhos` (linear), one SharedEstimate per SNR,
     all from the same draws.
 
     Deterministic for fixed (gain, users_per_group, widest scheme, rho,
     num_trials, base_seed) regardless of the worker count, which the
-    CACHECAST_WORKERS environment variable sets, and of the other SNRs in
-    `rhos`.
+    CACHECAST_WORKERS environment variable sets (by default the number of
+    usable cores), and of the other SNRs in `rhos`. The estimation holds
+    one chunk-sized draw buffer, whatever the worker count, and one set of
+    scratch arrays of one user's size per worker. A `timings` dict, when
+    given, receives the worker count ("workers") and the seconds spent
+    drawing ("draw_s") and building the metrics and their moments
+    ("metrics_s").
 
     A column's corrected variance is the expansion t1 - t2 - t3 + t4 of
     the co-moments: t1 = s_mm, t2 = s_mc beta, t3 = beta s_cm and
@@ -329,28 +405,24 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     for rho in rhos:
         SystemConfig.from_gain(gain, users_per_group, rho)  # validate the shape
     check_run(num_trials, base_seed)
-    worker_count = _worker_count()
+    workers = _worker_count()
 
     scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
     columns = sorted(set(scheme_columns.values()))
     index = {scheme: columns.index(column) for scheme, column in scheme_columns.items()}
     # the pilot first, then the estimate chunks
-    tasks = [(columns, rhos, base_seed, substream_index, count)
-             for substream_index, count in [(PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))]
-             + _chunk_plan(int(num_trials))]
-    largest = max(count for *_, count in tasks)
-    local = threading.local()  # each worker's buffers, for this call only
-
-    def moments(task):
-        if not hasattr(local, "buffers"):
-            local.buffers = _buffers(largest, *columns[-1])
-        return _chunk_moments(task, local.buffers)
-
-    if worker_count == 1 or len(tasks) == 2:  # the pilot and one chunk
-        parts = [moments(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            parts = list(pool.map(moments, tasks))
+    chunks = [(PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))] + _chunk_plan(int(num_trials))
+    largest = max(count for _, count in chunks)
+    groups, users = columns[-1]  # sorted, the widest in both groups and users
+    draws = _draw_buffer(largest, groups, users)
+    # the ACC metric needs two scratch arrays, three if a group is split
+    arrays = 0 if users == 1 else 3 if any(_block_users(rho, users) < users for rho in rhos) else 2
+    scratch = [_scratch(largest, groups, arrays) for _ in range(min(workers, len(rhos)))]
+    timings = {} if timings is None else timings
+    timings.update(workers=workers, draw_s=0.0, metrics_s=0.0)
+    with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
+        parts = [_chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers,
+                                timings) for chunk in chunks]
     (_, _, pilot_comoments), parts = parts[0], parts[1:]
     n, means, comoments = _tree_reduce(parts)
 
@@ -380,7 +452,7 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
         # so a column over itself has a gain error of exactly 0
         covariance = {(a, b): float(std_err[i] ** 2 if i == j else cov[i, j])
                       for a, i in index.items() for b, j in index.items()}
-        estimates.append(SharedEstimate(rates=rates, covariance=covariance))
+        estimates.append(SharedEstimate(rates=rates, covariance=covariance, column=index))
     return estimates
 
 
@@ -409,7 +481,8 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
     scheme = Scheme.parse(scheme)
     num_trials = check_int(num_trials, "num_trials")
     column = _scheme_columns(config.nominal_gain, config.users_per_group, [scheme])[scheme]
-    draws, scratch = _buffers(min(num_trials, CHUNK_TRIALS), *column)
+    count = min(num_trials, CHUNK_TRIALS)
+    draws, scratch = _draw_buffer(count, *column), _scratch(count, column[0])
     chunks = []
     for index, count in _chunk_plan(num_trials):
         e = _exponentials(base_seed, index, count, *column, draws)
@@ -423,14 +496,27 @@ def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
     """Speed-up of a scheme over TDM (or another reference), with
     first-order error propagation. `covariance` is that of the two
     estimates: 0 for independent draws, and the squared standard error for
-    an estimate over itself, whose gain error is then exactly 0."""
-    if not (tdm_rate.mean > 0):
+    an estimate over itself, whose gain error is then exactly 0.
+
+    Where a standard error or the TDM mean squares below the normal range
+    (standard errors under 1.5e-154, below about -1450 dB at 1000 trials),
+    the standard errors are divided by the TDM mean before squaring, so
+    that the error does not underflow to 0; everywhere else the error
+    keeps its plain form's bits."""
+    mean = tdm_rate.mean
+    if not (mean > 0):
         raise NumericsError("TDM reference rate must be positive to form a gain")
-    if tdm_rate.mean ** 2 == 0.0:
-        raise NumericsError(f"TDM reference rate {tdm_rate.mean!r} squares to 0, "
+    if mean ** 2 == 0.0:
+        raise NumericsError(f"TDM reference rate {mean!r} squares to 0, "
                             "so the gain's error cannot be formed")
-    value = scheme_rate.mean / tdm_rate.mean
-    variance = (scheme_rate.std_err ** 2 - 2.0 * value * covariance
-                + value * value * tdm_rate.std_err ** 2) / tdm_rate.mean ** 2
+    value = scheme_rate.mean / mean
+    errors = (scheme_rate.std_err, tdm_rate.std_err)
+    if all(x == 0.0 or x * x >= sys.float_info.min for x in (mean,) + errors):
+        variance = (errors[0] ** 2 - 2.0 * value * covariance
+                    + value * value * errors[1] ** 2) / mean ** 2
+    else:
+        numerator, denominator = (x / mean for x in errors)
+        variance = (numerator ** 2 - 2.0 * value * (covariance / mean / mean)
+                    + value * value * denominator ** 2)
     return GainEstimate(value=value, std_err=math.sqrt(max(variance, 0.0)),
                         numerator=scheme_rate, denominator=tdm_rate)

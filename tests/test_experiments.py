@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from cachecast import analysis, cli, experiments, system
+from cachecast import analysis, cli, experiments, rates, system
 from cachecast.cli import exit_code_for, main
 from cachecast.errors import NumericsError, ParameterError
 from cachecast.experiments import (
@@ -361,11 +361,17 @@ def test_verbose_shared_estimation_reports_throughput(tmp_path, capsys):
     (line,) = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("shared estimation")]
     fields = line.split(": ", 1)[1].split(", ")
-    assert fields[:2] == ["3 SNRs", "20000 trials"]
-    throughput, unit = fields[2].split()
-    seconds = float(fields[3].split()[0])
+    assert fields[:3] == ["3 SNRs", "20000 trials", f"{rates._worker_count()} workers"]
+    (draw_label, draw, draw_unit), (metrics_label, metrics, metrics_unit) = (
+        field.split() for field in fields[3:5])
+    assert (draw_label, draw_unit, metrics_label, metrics_unit) == ("draw", "s", "metrics", "s")
+    throughput, unit = fields[5].split()
+    seconds = float(fields[6].split()[0])
     assert unit == "trial-SNRs/s"
     assert float(throughput) == pytest.approx(3 * 20000 / seconds, rel=1e-3)
+    # the draw and the metrics are parts of the estimation's time
+    assert 0.0 < float(draw) and 0.0 < float(metrics)
+    assert float(draw) + float(metrics) <= seconds + 1.5e-6  # each printed to 1e-6
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
@@ -886,6 +892,20 @@ def test_cli_sweep_far_below_the_domain_keeps_a_positive_stderr(tmp_path, scheme
     for row in rows:
         assert row["error"] == "", row
         assert float(row["rate_stderr"]) > 0.0, row
+
+
+def test_cli_sweep_where_squared_errors_underflow_keeps_a_gain_error(tmp_path):
+    # at -1600 dB the rates are near 1e-160 and their squared standard
+    # errors underflow; the gain error is formed relative to the TDM mean
+    out = tmp_path / "deep.csv"
+    assert main(["sweep", "--axis", "rho_db=-1600", "--gain", "2", "--users-per-group", "2",
+                 "--schemes", "tdm,mn,acc", "--trials", "1000", "--seed", "3",
+                 "--out", str(out)]) == 0
+    rows = {row["scheme"]: row for row in csv.DictReader(out.open())}
+    assert float(rows["tdm"]["gain_stderr"]) == 0.0
+    for scheme in ("mn", "acc"):
+        assert rows[scheme]["error"] == ""
+        assert 0.0 < float(rows[scheme]["gain_stderr"]) < math.inf, rows[scheme]
 
 
 def test_exit_code_mapping_unit():

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -37,7 +38,7 @@ def stage_rate(snr):
     groups, users = snr.shape
     e = np.zeros((1, users, BLOCK_TRIALS, groups))
     e[0, :, 0, :] = snr.T
-    _, scratch = rates._buffers(1, groups, users)
+    scratch = rates._scratch(1, groups)
     controls = rates._controls(e, [(groups, users)], 1, scratch)
     (values,) = rates._log_metrics(e, 1.0, [(groups, users)], controls, scratch)
     return float(values[0]) / LN2
@@ -214,7 +215,7 @@ def test_controls_match_the_textbook_reductions(gain, users, tied):
     columns = sorted({(1, 1), (gain, 1), (gain, users)})
     expected = {(1, 1): e[:, 0, :, 0], (gain, 1): e[:, 0].min(axis=-1),
                 (gain, users): e.mean(axis=1).min(axis=-1)}
-    _, scratch = rates._buffers(count, gain, users)
+    scratch = rates._scratch(count, gain)
     got = rates._controls(e, columns, count, scratch)
     assert len(got) == len(columns)
     for column, values in zip(columns, got):
@@ -241,7 +242,7 @@ def test_acc_metric_is_the_log_sum_formula_to_rounding(gain, users, rho_db):
     count = 2 * BLOCK_TRIALS - 40
     e = _chunk_exponentials(41, 1, count, gain, users)
     column = (gain, users)
-    _, scratch = rates._buffers(count, gain, users)
+    scratch = rates._scratch(count, gain)
     controls = rates._controls(e, [column], count, scratch)
     (got,) = rates._log_metrics(e, rho, [column], controls, scratch)
     formula = (np.log1p(rho * e).sum(axis=1).min(axis=-1) / users).reshape(-1)[:count]
@@ -416,25 +417,104 @@ def test_a_sweep_keeps_at_most_one_chunk_array_live():
     assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
 
 
+def test_more_workers_add_no_chunk_array(monkeypatch):
+    # the workers share one draw buffer: eight workers, five of them
+    # dealt an SNR each, add only their scratch arrays and metric rows of
+    # one user's size, far less than the chunk array a buffer per worker
+    # would add
+    gain, users = 4, 32
+    chunk_bytes = users * CHUNK_TRIALS * gain * 8
+    rhos = [0.01, 0.1, 1.0, 10.0, 100.0]
+    peaks = []
+    for workers in ("1", "8"):
+        monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
+        mc_average_rates(gain, users, rhos, ("tdm", "mn", "acc"), 100, 9)  # warm caches
+        tracemalloc.start()
+        try:
+            mc_average_rates(gain, users, rhos, ("tdm", "mn", "acc"), 2 * CHUNK_TRIALS, 9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < chunk_bytes, [peak / chunk_bytes for peak in peaks]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("count", [24 * BLOCK_TRIALS, 3392], ids=["pilot", "last"])
+def test_a_chunk_drawn_in_pieces_is_its_one_call_draw(workers, count):
+    # a 200,000-trial estimation's pilot (24 blocks) and short last chunk
+    # (14 blocks), drawn as the workers draw them: each piece from its own
+    # generator advanced past the earlier blocks, in any order
+    groups, users = 10, 6
+    whole = rates._exponentials(5, 25, count, groups, users,
+                                rates._draw_buffer(count, groups, users)).copy()
+    buffer = np.full(whole.size, np.nan)
+    blocks = len(whole)
+    bounds = [blocks * w // workers for w in range(workers + 1)]
+    for start, stop in reversed(list(zip(bounds, bounds[1:]))):
+        pieces = rates._exponentials(5, 25, count, groups, users, buffer, start, stop)
+    assert pieces.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("gain,users,rhos_db,num_trials", [
+    (5, 16, (0.0,), 3 * CHUNK_TRIALS + 300),  # one SNR: only the draw is split
+    (2, 64, (-20.0, 0.0, 30.0, 60.0), 2 * CHUNK_TRIALS + 300),  # 60 dB splits the groups
+    (4, 3, (0.0, 20.0), 100),  # one block, fewer than the workers
+])
+def test_estimates_are_identical_for_any_worker_count(monkeypatch, gain, users, rhos_db,
+                                                      num_trials):
+    rhos = [10.0 ** (value / 10.0) for value in rhos_db]
+    runs = []
+    for workers in ("1", "2", "3", "8"):
+        monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
+        runs.append(repr([(e.rates, e.covariance) for e in mc_average_rates(
+            gain, users, rhos, ("tdm", "mn", "acc"), num_trials, 4)]))
+    assert runs[1:] == runs[:1] * 3
+
+
+def test_the_default_worker_count_is_the_usable_cores(monkeypatch):
+    monkeypatch.delenv(rates.WORKERS_ENV_VAR, raising=False)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    timings = {}
+    mc_average_rates(3, 2, [1.0], ("tdm", "acc"), 1000, 6, timings=timings)
+    assert rates._worker_count() == timings["workers"] == cores
+    assert timings["draw_s"] > 0.0 and timings["metrics_s"] > 0.0
+
+
+def test_one_worker_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker started a thread pool")
+
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, "1")
+    monkeypatch.setattr(rates, "ThreadPoolExecutor", no_pool)
+    estimates = mc_average_rates(4, 3, [0.5, 2.0], ("tdm", "mn", "acc"), 2 * CHUNK_TRIALS, 3)
+    assert len(estimates) == 2
+
+
 @pytest.mark.parametrize("num_trials", [100, 2000, 10_000, 100_000])
 def test_draws_stay_within_a_block_of_the_trials_used(monkeypatch, num_trials):
     # the pilot is about a thirty-second of the trials, in whole blocks,
-    # and every chunk draws only the blocks that hold its trials
-    drawn = []
+    # and every chunk draws only the blocks that hold its trials, however
+    # its blocks are split between the workers
+    pieces = []  # (substream, trials) of every draw; list.append is atomic
 
     def counting(seed):
+        rng = substream(seed)
+
         def random(shape, out):  # (blocks, users, BLOCK_TRIALS, groups)
-            drawn.append(shape[0] * shape[2])
-            return substream(seed).random(shape, out=out)
-        return SimpleNamespace(random=random)
+            pieces.append((seed.trial_index, shape[0] * shape[2]))
+            return rng.random(shape, out=out)
+        return SimpleNamespace(random=random, bit_generator=rng.bit_generator)
 
     monkeypatch.setattr(rates, "substream", counting)
     mc_average_rates(4, 3, [1.0], ("tdm", "acc"), num_trials, 9)
+    drawn = {}  # trials drawn from each substream
+    for index, trials in pieces:
+        drawn[index] = drawn.get(index, 0) + trials
     pilot = max(BLOCK_TRIALS, num_trials // 32 // BLOCK_TRIALS * BLOCK_TRIALS)
     chunks = -(-num_trials // CHUNK_TRIALS)
     assert drawn[0] == pilot
-    assert num_trials <= sum(drawn[1:]) < num_trials + BLOCK_TRIALS
-    assert len(drawn) == 1 + chunks
+    assert num_trials <= sum(drawn.values()) - pilot < num_trials + BLOCK_TRIALS
+    assert sorted(drawn) == list(range(1 + chunks))
 
 
 def test_trial_rates_are_not_views_of_a_reused_buffer():
