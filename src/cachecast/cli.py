@@ -9,10 +9,11 @@ Average SNR is given in dB on the command line and converted to linear
 internally. Exit codes: 0 success, 1 validation failure, 2 parameter
 error or an output that cannot be written, 3 numeric error. The
 CACHECAST_WORKERS environment variable sets the Monte Carlo worker count,
-by default the number of usable cores; results are identical for any
-value. A top-level ``-v`` logs the time of every shared Monte Carlo
-estimation (with its worker count and its draw and metric seconds) and
-closed-form row to stderr; output files are the same with or without it.
+by default the number of usable cores, at most two; results are identical
+for any value. A top-level ``-v`` logs the time of every shared Monte Carlo
+estimation (with the workers that ran and its draw and metric seconds)
+and closed-form row to stderr; output files are the same with or without
+it.
 Every output goes through ``experiments.write_text``: to the ``--out`` path
 atomically, creating its directory, or to stdout where ``--out`` is optional
 (``sweep``, ``validate``).

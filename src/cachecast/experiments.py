@@ -257,7 +257,7 @@ def _mc_estimates(spec):
     with its time: one draw per chunk serves all their SNRs and every
     scheme, TDM always included as the gain reference. A CachecastError
     stands in for the estimate of its shape's points, whose rows become
-    error rows. The log record also gives the worker count, the seconds
+    error rows. The log record also gives the workers that ran, the seconds
     spent drawing and building the metrics, and the throughput, trials
     times SNRs per second."""
     shapes = {}
@@ -274,7 +274,7 @@ def _mc_estimates(spec):
         for scheme in (("acc", "mn") if name == MC_RATIO else (name,))]))
     estimates = {}
     for (gain, users_per_group), points in shapes.items():
-        timings = {"workers": 0, "draw_s": 0.0, "metrics_s": 0.0}
+        timings = {}  # filled by mc_average_rates, empty if it rejects the shape
         started = time.perf_counter()
         try:
             shared = mc_average_rates(gain, users_per_group, [rho for _, rho in points],
@@ -286,8 +286,8 @@ def _mc_estimates(spec):
         seconds = time.perf_counter() - started
         log.info("shared estimation gain=%d users_per_group=%d: %d SNRs, %d trials, "
                  "%d workers, draw %.6f s, metrics %.6f s, %.0f trial-SNRs/s, %.6f s",
-                 gain, users_per_group, len(points), spec.num_trials, timings["workers"],
-                 timings["draw_s"], timings["metrics_s"],
+                 gain, users_per_group, len(points), spec.num_trials, timings.get("workers", 0),
+                 timings.get("draw_s", 0.0), timings.get("metrics_s", 0.0),
                  spec.num_trials * len(points) / seconds, seconds)
         estimates.update((index, estimate) for (index, _), estimate in zip(points, shared))
     return estimates

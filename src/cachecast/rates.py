@@ -42,7 +42,9 @@ generator on the chunk's substream, advanced past the earlier blocks: a
 PCG64 stream gives one 64-bit output per double and jumps any number of
 outputs ahead in O(log n) steps, so the pieces hold the bits of one draw.
 Then the SNRs are dealt round-robin, each worker building its metrics in
-its own scratch arrays. The calling thread is one of the workers.
+its own scratch arrays. The calling thread is one of the workers. By
+default there are as many workers as usable cores, but at most
+MAX_DEFAULT_WORKERS, the most that have been measured.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -76,6 +78,12 @@ BLOCK_TRIALS = 256
 PILOT_SUBSTREAM = 0
 
 WORKERS_ENV_VAR = "CACHECAST_WORKERS"
+
+#: Most workers by default: the split of a chunk has been timed on two
+#: cores only. Beyond that a worker draws only a few blocks, each piece
+#: seeding its own generator, and thread counts from the CPU affinity
+#: ignore CPU quotas. CACHECAST_WORKERS sets any count.
+MAX_DEFAULT_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -107,33 +115,31 @@ class GainEstimate:
 @dataclass(frozen=True)
 class SharedEstimate:
     """Estimates of several schemes' average rates at one SNR from common
-    draws, with the covariance of every pair of them. Schemes with the same
-    `column` index are one per-trial metric."""
+    draws, with the covariance of every pair (a, b) of them, and that
+    covariance over the square of b's mean, which stays in range where the
+    covariance itself underflows (`relative_covariance`)."""
 
     rates: dict
     covariance: dict
-    column: dict
+    relative_covariance: dict
 
     def gain(self, scheme, reference=Scheme.TDM) -> GainEstimate:
-        """Ratio of the scheme's rate to the reference scheme's. A column
-        over itself has no error, also where the squared standard error
-        that its covariance holds underflows to 0."""
-        scheme, reference = Scheme.parse(scheme), Scheme.parse(reference)
-        gain = effective_gain(self.rates[scheme], self.rates[reference],
-                              self.covariance[scheme, reference])
-        if self.column[scheme] == self.column[reference]:
-            gain = replace(gain, std_err=0.0)
-        return gain
+        """Ratio of the scheme's rate to the reference scheme's."""
+        pair = Scheme.parse(scheme), Scheme.parse(reference)
+        return effective_gain(self.rates[pair[0]], self.rates[pair[1]],
+                              self.covariance[pair], self.relative_covariance[pair])
 
 
 def _worker_count() -> int:
     """CACHECAST_WORKERS, or else the number of cores this process may run
-    on."""
+    on, at most MAX_DEFAULT_WORKERS."""
     workers = os.environ.get(WORKERS_ENV_VAR)
     if workers is None:
         if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        return min(cores, MAX_DEFAULT_WORKERS)
     try:
         count = int(workers)
     except ValueError:
@@ -270,12 +276,25 @@ def _log_metrics(e, rho, columns, controls, scratch):
     return out
 
 
+def _metric_scale(rho):
+    """Power of two near 1/rho below 0 dB, else 1, by which the metrics
+    are multiplied before their moments (_snr_moments), so that products of
+    metrics near rho do not fall below the normal range. Products and sums
+    of normal numbers scale exactly, so in range the scaled moments hold
+    the bits of the plain ones times powers of two."""
+    return math.ldexp(1.0, min(1000, max(0, -math.frexp(rho)[1])))
+
+
 def _snr_moments(e, rhos, columns, controls, scratch):
-    """(mean, centred co-moments) of the metrics and then the controls of
-    every column at each SNR of `rhos`, built in one worker's `scratch`."""
+    """(mean, centred co-moments) of the metrics, each scaled by
+    _metric_scale(rho), and then the controls of every column at each SNR
+    of `rhos`, built in one worker's `scratch`."""
     moments = []
     for rho in rhos:
         values = np.stack(_log_metrics(e, rho, columns, controls, scratch) + controls)
+        scale = _metric_scale(rho)
+        if scale != 1.0:
+            values[:len(columns)] *= scale
         mean = values.mean(axis=1)
         values -= mean[:, None]
         # einsum, not BLAS: its sums do not depend on the thread count
@@ -380,12 +399,13 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     Deterministic for fixed (gain, users_per_group, widest scheme, rho,
     num_trials, base_seed) regardless of the worker count, which the
     CACHECAST_WORKERS environment variable sets (by default the number of
-    usable cores), and of the other SNRs in `rhos`. The estimation holds
-    one chunk-sized draw buffer, whatever the worker count, and one set of
-    scratch arrays of one user's size per worker. A `timings` dict, when
-    given, receives the worker count ("workers") and the seconds spent
-    drawing ("draw_s") and building the metrics and their moments
-    ("metrics_s").
+    usable cores, at most MAX_DEFAULT_WORKERS), and of the other SNRs in
+    `rhos`. No more workers run than the blocks of the largest chunk or the
+    SNRs give work to. The estimation holds one chunk-sized draw buffer,
+    whatever the worker count, and one set of scratch arrays of one user's
+    size per worker. A `timings` dict, when given, receives the workers
+    that ran ("workers") and the seconds spent drawing ("draw_s") and
+    building the metrics and their moments ("metrics_s").
 
     A column's corrected variance is the expansion t1 - t2 - t3 + t4 of
     the co-moments: t1 = s_mm, t2 = s_mc beta, t3 = beta s_cm and
@@ -406,6 +426,8 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
         SystemConfig.from_gain(gain, users_per_group, rho)  # validate the shape
     check_run(num_trials, base_seed)
     workers = _worker_count()
+    if timings is None:
+        timings = {}
 
     scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
     columns = sorted(set(scheme_columns.values()))
@@ -413,12 +435,12 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     # the pilot first, then the estimate chunks
     chunks = [(PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))] + _chunk_plan(int(num_trials))
     largest = max(count for _, count in chunks)
+    workers = min(workers, max(-(-largest // BLOCK_TRIALS), len(rhos)))
     groups, users = columns[-1]  # sorted, the widest in both groups and users
     draws = _draw_buffer(largest, groups, users)
     # the ACC metric needs two scratch arrays, three if a group is split
     arrays = 0 if users == 1 else 3 if any(_block_users(rho, users) < users for rho in rhos) else 2
     scratch = [_scratch(largest, groups, arrays) for _ in range(min(workers, len(rhos)))]
-    timings = {} if timings is None else timings
     timings.update(workers=workers, draw_s=0.0, metrics_s=0.0)
     with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
         parts = [_chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers,
@@ -428,9 +450,10 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
 
     k = len(columns)
     control_means = np.array([_control_mean(*column) for column in columns])
-    prefactor = np.array([groups / LN2 for groups, _ in columns])
     estimates = []
-    for mean, s, pilot in zip(means, comoments, pilot_comoments):
+    for rho, mean, s, pilot in zip(rhos, means, comoments, pilot_comoments):
+        # the moments' metrics are scaled; the prefactor undoes it
+        prefactor = np.array([groups / LN2 for groups, _ in columns]) / _metric_scale(rho)
         # coefficient of each metric on its own control, from the pilot
         beta = np.diag(pilot[:k, k:]) / np.diag(pilot[k:, k:])
         value = prefactor * (mean[:k] - beta * (mean[k:] - control_means))
@@ -440,19 +463,32 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
                  np.outer(beta, beta) * s[k:, k:])
         corrected = terms[0] - terms[1] - terms[2] + terms[3]
         cov = np.outer(prefactor, prefactor) * corrected / (n * (n - 1))
+        # cov[i, j] over value[j] squared, from the scaled co-moments, so
+        # that it holds where cov underflows; nan where a mean is 0, which
+        # no gain uses, as its TDM mean squares to 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            relative = (corrected * (prefactor[:, None] / value) * (prefactor / value)
+                        / (n * (n - 1)))
         # the expansion's rounding bound, as a product of square roots so
         # that it survives subnormal co-moments
         magnitude = np.diag(sum(abs(term) for term in terms))
         floor = prefactor * math.sqrt(4 * 2.0 ** -53 / (n * (n - 1))) * np.sqrt(magnitude)
         std_err = np.maximum(np.sqrt(np.maximum(np.diag(cov), 0.0)), floor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = std_err / value
         rates = {scheme: RateEstimate(mean=float(value[i]), std_err=float(std_err[i]),
                                       num_trials=n, scheme=scheme)
                  for scheme, i in index.items()}
         # within one column the covariance is the squared standard error,
-        # so a column over itself has a gain error of exactly 0
+        # relative to the mean the squared ratio as effective_gain forms
+        # it, so a column over itself has a gain error of exactly 0
+        pairs = [(a, i, b, j) for a, i in index.items() for b, j in index.items()]
         covariance = {(a, b): float(std_err[i] ** 2 if i == j else cov[i, j])
-                      for a, i in index.items() for b, j in index.items()}
-        estimates.append(SharedEstimate(rates=rates, covariance=covariance, column=index))
+                      for a, i, b, j in pairs}
+        relative_covariance = {(a, b): float(ratio[i] * ratio[i] if i == j else relative[i, j])
+                               for a, i, b, j in pairs}
+        estimates.append(SharedEstimate(rates=rates, covariance=covariance,
+                                        relative_covariance=relative_covariance))
     return estimates
 
 
@@ -492,7 +528,8 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
 
 
 def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
-                   covariance: float = 0.0) -> GainEstimate:
+                   covariance: float = 0.0,
+                   relative_covariance: float | None = None) -> GainEstimate:
     """Speed-up of a scheme over TDM (or another reference), with
     first-order error propagation. `covariance` is that of the two
     estimates: 0 for independent draws, and the squared standard error for
@@ -500,9 +537,12 @@ def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
 
     Where a standard error or the TDM mean squares below the normal range
     (standard errors under 1.5e-154, below about -1450 dB at 1000 trials),
-    the standard errors are divided by the TDM mean before squaring, so
-    that the error does not underflow to 0; everywhere else the error
-    keeps its plain form's bits."""
+    the error is formed from the standard errors divided by the TDM mean
+    and from `relative_covariance`, the covariance over the square of the
+    TDM mean (by default covariance / mean / mean), so that it does not
+    underflow to 0. An estimate over itself with the squared ratio
+    (std_err / mean) * (std_err / mean) there still has error 0.
+    Everywhere else the error keeps its plain form's bits."""
     mean = tdm_rate.mean
     if not (mean > 0):
         raise NumericsError("TDM reference rate must be positive to form a gain")
@@ -515,8 +555,10 @@ def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
         variance = (errors[0] ** 2 - 2.0 * value * covariance
                     + value * value * errors[1] ** 2) / mean ** 2
     else:
+        if relative_covariance is None:
+            relative_covariance = covariance / mean / mean
         numerator, denominator = (x / mean for x in errors)
-        variance = (numerator ** 2 - 2.0 * value * (covariance / mean / mean)
-                    + value * value * denominator ** 2)
+        variance = (numerator * numerator - 2.0 * value * relative_covariance
+                    + value * value * (denominator * denominator))
     return GainEstimate(value=value, std_err=math.sqrt(max(variance, 0.0)),
                         numerator=scheme_rate, denominator=tdm_rate)

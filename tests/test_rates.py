@@ -471,13 +471,32 @@ def test_estimates_are_identical_for_any_worker_count(monkeypatch, gain, users, 
     assert runs[1:] == runs[:1] * 3
 
 
-def test_the_default_worker_count_is_the_usable_cores(monkeypatch):
+def test_the_default_worker_count_is_the_usable_cores_up_to_the_cap(monkeypatch):
     monkeypatch.delenv(rates.WORKERS_ENV_VAR, raising=False)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    default = min(cores, rates.MAX_DEFAULT_WORKERS)
     timings = {}
-    mc_average_rates(3, 2, [1.0], ("tdm", "acc"), 1000, 6, timings=timings)
-    assert rates._worker_count() == timings["workers"] == cores
+    mc_average_rates(3, 2, [1.0], ("tdm", "acc"), 2 * CHUNK_TRIALS, 6, timings=timings)
+    assert rates._worker_count() == timings["workers"] == default
     assert timings["draw_s"] > 0.0 and timings["metrics_s"] > 0.0
+    # a many-core host gets the cap, one core one worker
+    for usable in (64, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, usable=usable: set(range(usable)),
+                            raising=False)
+        assert rates._worker_count() == min(usable, rates.MAX_DEFAULT_WORKERS)
+
+
+@pytest.mark.parametrize("num_trials,rhos,ran", [
+    (100, [1.0, 2.0], 2),  # one block: only the two SNRs give work
+    (100, [1.0, 2.0, 3.0, 4.0, 5.0], 5),
+    (3 * BLOCK_TRIALS, [1.0], 3),  # three blocks, one SNR
+    (2 * CHUNK_TRIALS, [1.0], 8),
+])
+def test_timings_report_the_workers_that_ran(monkeypatch, num_trials, rhos, ran):
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, "8")
+    timings = {}
+    mc_average_rates(3, 2, rhos, ("tdm", "acc"), num_trials, 6, timings=timings)
+    assert timings["workers"] == ran
 
 
 def test_one_worker_starts_no_pool(monkeypatch):
@@ -557,6 +576,49 @@ def test_shapes_estimated_in_turn_match_fresh_processes(monkeypatch, workers):
             [sys.executable, "-c", _FRESH_ESTIMATE.format(gain=gain, users=users, trials=trials)],
             capture_output=True, text=True, check=True, timeout=120)
         assert got == fresh.stdout.strip()
+
+
+def test_gain_error_keeps_the_covariance_where_it_underflows():
+    # estimates near 1e-160, whose squared errors and covariance underflow,
+    # have the relative gain error of the same estimates near 1
+    def pair(scale):
+        numerator = RateEstimate(mean=2.0 * scale, std_err=2e-9 * scale, num_trials=1000,
+                                 scheme=Scheme.MN)
+        denominator = RateEstimate(mean=1.0 * scale, std_err=1e-9 * scale, num_trials=1000,
+                                   scheme=Scheme.TDM)
+        return numerator, denominator
+
+    correlation = 0.75
+    covariance = correlation * 2e-9 * 1e-9
+    in_range = effective_gain(*pair(1.0), covariance)
+    deep = pair(1e-160)
+    assert (2e-9 * 1e-160) ** 2 < sys.float_info.min  # the plain form would lose it
+    gain = effective_gain(*deep, covariance * 1e-320, relative_covariance=covariance)
+    assert gain.value == in_range.value
+    assert gain.std_err == pytest.approx(in_range.std_err, rel=1e-12)
+    assert gain.std_err < effective_gain(*deep).std_err  # the correlation counts
+    # an estimate over itself with its squared ratio has no error
+    tdm = deep[1]
+    ratio = tdm.std_err / tdm.mean
+    assert effective_gain(tdm, tdm, tdm.std_err ** 2, ratio * ratio).std_err == 0.0
+
+
+def test_shared_gains_keep_the_covariance_where_it_underflows():
+    # far below 0 dB every metric is rho times a function of the draws, in
+    # bits, so two SNRs a power of two apart give rates in that ratio and
+    # the same gains; at 2^-531 (-1599 dB) the squared errors underflow
+    mid, deep = (mc_average_rates(2, 2, [math.ldexp(1.0, exponent)], ("tdm", "mn", "acc"),
+                                  1000, 3)[0] for exponent in (-100, -531))
+    for scheme, rate in deep.rates.items():
+        assert rate.mean == math.ldexp(mid.rates[scheme].mean, -431)
+        assert rate.std_err == math.ldexp(mid.rates[scheme].std_err, -431)
+    assert deep.rates[Scheme.TDM].std_err ** 2 < sys.float_info.min
+    assert mid.rates[Scheme.TDM].std_err ** 2 > sys.float_info.min
+    assert deep.gain("tdm").std_err == mid.gain("tdm").std_err == 0.0
+    for scheme in ("mn", "acc"):
+        gain = deep.gain(scheme)
+        assert gain.value == mid.gain(scheme).value
+        assert gain.std_err == pytest.approx(mid.gain(scheme).std_err, rel=1e-12)
 
 
 def test_gain_error_counts_the_covariance():
