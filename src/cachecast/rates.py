@@ -27,15 +27,19 @@ Each metric is corrected by a control variate: the same metric on the
 linear-SNR scale, divided by rho (E of the lone user, the smallest E of the
 served users, the smallest group mean of E). Their exact means are the
 paper's low-SNR forms over rho: 1, 1/gain and psi(gain, users)/users. The
-coefficients come from a pilot chunk of about a thirty-second of the trials
-on substream 0, which no estimate chunk uses (chunk i draws from substream
-i + 1), so the estimates stay unbiased.
+coefficients beta come from a pilot chunk of about a thirty-second of the
+trials on substream 0, which no estimate chunk uses (chunk i draws from
+substream i + 1), so the estimates stay unbiased. The pilot runs first;
+every estimate chunk then averages the residual
+r = metric - beta (control - its mean), the textbook control-variate
+estimator (Glasserman 2004, section 4.1), whose spread is the standard
+error.
 
 Estimates are deterministic functions of (gain, users_per_group, widest
-requested scheme, rho, num_trials, base_seed): every chunk returns the
-centred co-moments of its metrics and controls at each SNR, and these merge
-in a fixed tree order, so the result is bit-identical for any worker count
-and does not depend on which other SNRs are estimated alongside.
+requested scheme, rho, num_trials, base_seed): every chunk returns the mean
+and centred co-moments of its residuals at each SNR, and these merge in a
+fixed tree order, so the result is bit-identical for any worker count and
+does not depend on which other SNRs are estimated alongside.
 
 The workers share each chunk. Each draws a run of its blocks from its own
 generator on the chunk's substream, advanced past the earlier blocks: a
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
@@ -115,19 +118,18 @@ class GainEstimate:
 @dataclass(frozen=True)
 class SharedEstimate:
     """Estimates of several schemes' average rates at one SNR from common
-    draws, with the covariance of every pair (a, b) of them, and that
-    covariance over the square of b's mean, which stays in range where the
-    covariance itself underflows (`relative_covariance`)."""
+    draws, with the covariance of every pair (a, b) of them over the square
+    of b's mean, which stays in range where the covariance itself
+    underflows (`relative_covariance`)."""
 
     rates: dict
-    covariance: dict
     relative_covariance: dict
 
     def gain(self, scheme, reference=Scheme.TDM) -> GainEstimate:
         """Ratio of the scheme's rate to the reference scheme's."""
         pair = Scheme.parse(scheme), Scheme.parse(reference)
         return effective_gain(self.rates[pair[0]], self.rates[pair[1]],
-                              self.covariance[pair], self.relative_covariance[pair])
+                              self.relative_covariance[pair])
 
 
 def _worker_count() -> int:
@@ -279,22 +281,27 @@ def _log_metrics(e, rho, columns, controls, scratch):
 def _metric_scale(rho):
     """Power of two near 1/rho below 0 dB, else 1, by which the metrics
     are multiplied before their moments (_snr_moments), so that products of
-    metrics near rho do not fall below the normal range. Products and sums
+    residuals near rho do not fall below the normal range. Products and sums
     of normal numbers scale exactly, so in range the scaled moments hold
     the bits of the plain ones times powers of two."""
     return math.ldexp(1.0, min(1000, max(0, -math.frexp(rho)[1])))
 
 
-def _snr_moments(e, rhos, columns, controls, scratch):
-    """(mean, centred co-moments) of the metrics, each scaled by
-    _metric_scale(rho), and then the controls of every column at each SNR
-    of `rhos`, built in one worker's `scratch`."""
+def _snr_moments(e, rhos, columns, controls, scratch, betas=None, centred=None):
+    """(mean, centred co-moments) at each SNR of `rhos`, built in one
+    worker's `scratch`, of the residuals scaled metric - beta (control - its
+    mean) of every column, from that SNR's `betas` and the `centred`
+    controls; or, without `betas` (the pilot), of the scaled metrics and
+    then the controls. Each metric is scaled by _metric_scale(rho)."""
     moments = []
-    for rho in rhos:
-        values = np.stack(_log_metrics(e, rho, columns, controls, scratch) + controls)
+    for i, rho in enumerate(rhos):
+        rows = _log_metrics(e, rho, columns, controls, scratch)
+        values = np.stack(rows + controls if betas is None else rows)
         scale = _metric_scale(rho)
         if scale != 1.0:
             values[:len(columns)] *= scale
+        if betas is not None:
+            values -= betas[i][:, None] * centred
         mean = values.mean(axis=1)
         values -= mean[:, None]
         # einsum, not BLAS: its sums do not depend on the thread count
@@ -313,13 +320,16 @@ def _on_workers(pool, jobs):
     return [first] + [future.result() for future in futures]
 
 
-def _chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers, timings):
-    """(trials, mean, centred co-moments) of the metrics and then the
-    controls of every column, one row per SNR, of the chunk (substream,
-    trials). Each of the `workers` draws a run of the blocks into `draws`;
-    then the calling thread builds the controls, and the i-th scratch set's
-    worker takes every len(scratch)-th SNR from the i-th. `timings` gathers
-    the seconds of the draw and of the metrics."""
+def _chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers, timings,
+                   betas=None, control_means=None):
+    """(trials, mean, centred co-moments) of the chunk (substream, trials),
+    one row per SNR, as _snr_moments gives them: of the residuals from each
+    SNR's `betas` and the columns' exact `control_means`, or without
+    `betas` of the metrics and then the controls. Each of the `workers`
+    draws a run of the blocks into `draws`; then the calling thread builds
+    the controls, centred on their means, and the i-th scratch set's worker
+    takes every len(scratch)-th SNR from the i-th. `timings` gathers the
+    seconds of the draw and of the metrics."""
     substream_index, count = chunk
     started = time.perf_counter()
     blocks = -(-count // BLOCK_TRIALS)
@@ -329,9 +339,11 @@ def _chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, worker
                            for start, stop in zip(bounds, bounds[1:]) if start < stop])[0]
     drawn = time.perf_counter()
     controls = _controls(e, columns, count, scratch[0])
+    centred = None if betas is None else np.stack(controls) - control_means[:, None]
     dealt = len(scratch)
     shares = _on_workers(pool, [partial(_snr_moments, e, rhos[w::dealt], columns, controls,
-                                        scratch[w]) for w in range(dealt)])
+                                        scratch[w], betas and betas[w::dealt], centred)
+                                for w in range(dealt)])
     moments = [None] * len(rhos)
     for w, share in enumerate(shares):
         moments[w::dealt] = share
@@ -407,16 +419,13 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     that ran ("workers") and the seconds spent drawing ("draw_s") and
     building the metrics and their moments ("metrics_s").
 
-    A column's corrected variance is the expansion t1 - t2 - t3 + t4 of
-    the co-moments: t1 = s_mm, t2 = s_mc beta, t3 = beta s_cm and
-    t4 = (beta beta) s_cc. Its products round once (t4 twice) and its
-    three sums once each, so with u = 2^-53 it is within
-    u (3|t1| + 4|t2| + 3|t3| + 3|t4|) <= 4 u sum|t_i| of the exact
-    expansion, and it is floored there. The floor takes over only far
-    below -40 dB (near -75 dB at 1000 trials), where the metric is almost
-    rho times its control and the expansion cancels; at -40 dB and above
-    the variance is at least about 1e-8 of t1. It leaves out the rounding
-    of the co-moments themselves.
+    The pilot chunk runs first and fixes each column's coefficient beta on
+    its own control at each SNR. Each estimate chunk then gives the mean and
+    co-moments of the residuals r = metric - beta (control - its mean), so
+    the rate is its prefactor times the mean of r and the standard error its
+    prefactor times sqrt(var(r) / n). That is floored at 2^-53 |rate|, one
+    rounding of the rate, where the metric is so nearly beta times its
+    control that r is constant to rounding.
     """
     schemes = tuple(Scheme.parse(s) for s in schemes)
     rhos = [float(rho) for rho in rhos]
@@ -432,9 +441,9 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     scheme_columns = _scheme_columns(int(gain), int(users_per_group), schemes)
     columns = sorted(set(scheme_columns.values()))
     index = {scheme: columns.index(column) for scheme, column in scheme_columns.items()}
-    # the pilot first, then the estimate chunks
-    chunks = [(PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))] + _chunk_plan(int(num_trials))
-    largest = max(count for _, count in chunks)
+    pilot = (PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))
+    chunks = _chunk_plan(int(num_trials))
+    largest = max(count for _, count in chunks + [pilot])
     workers = min(workers, max(-(-largest // BLOCK_TRIALS), len(rhos)))
     groups, users = columns[-1]  # sorted, the widest in both groups and users
     draws = _draw_buffer(largest, groups, users)
@@ -442,53 +451,39 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     arrays = 0 if users == 1 else 3 if any(_block_users(rho, users) < users for rho in rhos) else 2
     scratch = [_scratch(largest, groups, arrays) for _ in range(min(workers, len(rhos)))]
     timings.update(workers=workers, draw_s=0.0, metrics_s=0.0)
-    with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
-        parts = [_chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers,
-                                timings) for chunk in chunks]
-    (_, _, pilot_comoments), parts = parts[0], parts[1:]
-    n, means, comoments = _tree_reduce(parts)
-
     k = len(columns)
     control_means = np.array([_control_mean(*column) for column in columns])
-    estimates = []
-    for rho, mean, s, pilot in zip(rhos, means, comoments, pilot_comoments):
-        # the moments' metrics are scaled; the prefactor undoes it
-        prefactor = np.array([groups / LN2 for groups, _ in columns]) / _metric_scale(rho)
+    with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
+        run = partial(_chunk_moments, columns=columns, rhos=rhos, base_seed=base_seed,
+                      draws=draws, scratch=scratch, pool=pool, workers=workers,
+                      timings=timings)
         # coefficient of each metric on its own control, from the pilot
-        beta = np.diag(pilot[:k, k:]) / np.diag(pilot[k:, k:])
-        value = prefactor * (mean[:k] - beta * (mean[k:] - control_means))
-        # co-moments of metric - beta control, element by element so that a
-        # column's result does not depend on the other columns
-        terms = (s[:k, :k], s[:k, k:] * beta, beta[:, None] * s[k:, :k],
-                 np.outer(beta, beta) * s[k:, k:])
-        corrected = terms[0] - terms[1] - terms[2] + terms[3]
-        cov = np.outer(prefactor, prefactor) * corrected / (n * (n - 1))
-        # cov[i, j] over value[j] squared, from the scaled co-moments, so
-        # that it holds where cov underflows; nan where a mean is 0, which
-        # no gain uses, as its TDM mean squares to 0
+        betas = [np.diag(s[:k, k:]) / np.diag(s[k:, k:]) for s in run(pilot)[2]]
+        n, means, comoments = _tree_reduce(run(chunk, betas=betas, control_means=control_means)
+                                           for chunk in chunks)
+
+    estimates = []
+    for rho, mean, s in zip(rhos, means, comoments):
+        # the residuals' metrics are scaled; the prefactor undoes it
+        prefactor = np.array([groups / LN2 for groups, _ in columns]) / _metric_scale(rho)
+        value = prefactor * mean
+        std_err = np.maximum(prefactor * np.sqrt(np.diag(s) / (n * (n - 1))),
+                             2.0 ** -53 * np.abs(value))
+        # covariance [i, j] over value[j] squared, from the scaled
+        # co-moments, so that it holds where the covariance underflows; nan
+        # where a mean is 0, which no gain uses, as its TDM mean squares to
+        # 0. Within one column it is the squared ratio as effective_gain
+        # forms it, so a column over itself has a gain error of exactly 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            relative = (corrected * (prefactor[:, None] / value) * (prefactor / value)
-                        / (n * (n - 1)))
-        # the expansion's rounding bound, as a product of square roots so
-        # that it survives subnormal co-moments
-        magnitude = np.diag(sum(abs(term) for term in terms))
-        floor = prefactor * math.sqrt(4 * 2.0 ** -53 / (n * (n - 1))) * np.sqrt(magnitude)
-        std_err = np.maximum(np.sqrt(np.maximum(np.diag(cov), 0.0)), floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = s * (prefactor[:, None] / value) * (prefactor / value) / (n * (n - 1))
             ratio = std_err / value
+        np.fill_diagonal(relative, ratio * ratio)
         rates = {scheme: RateEstimate(mean=float(value[i]), std_err=float(std_err[i]),
                                       num_trials=n, scheme=scheme)
                  for scheme, i in index.items()}
-        # within one column the covariance is the squared standard error,
-        # relative to the mean the squared ratio as effective_gain forms
-        # it, so a column over itself has a gain error of exactly 0
-        pairs = [(a, i, b, j) for a, i in index.items() for b, j in index.items()]
-        covariance = {(a, b): float(std_err[i] ** 2 if i == j else cov[i, j])
-                      for a, i, b, j in pairs}
-        relative_covariance = {(a, b): float(ratio[i] * ratio[i] if i == j else relative[i, j])
-                               for a, i, b, j in pairs}
-        estimates.append(SharedEstimate(rates=rates, covariance=covariance,
-                                        relative_covariance=relative_covariance))
+        relative_covariance = {(a, b): float(relative[i, j])
+                               for a, i in index.items() for b, j in index.items()}
+        estimates.append(SharedEstimate(rates=rates, relative_covariance=relative_covariance))
     return estimates
 
 
@@ -528,21 +523,14 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
 
 
 def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
-                   covariance: float = 0.0,
-                   relative_covariance: float | None = None) -> GainEstimate:
+                   relative_covariance: float = 0.0) -> GainEstimate:
     """Speed-up of a scheme over TDM (or another reference), with
-    first-order error propagation. `covariance` is that of the two
-    estimates: 0 for independent draws, and the squared standard error for
-    an estimate over itself, whose gain error is then exactly 0.
-
-    Where a standard error or the TDM mean squares below the normal range
-    (standard errors under 1.5e-154, below about -1450 dB at 1000 trials),
-    the error is formed from the standard errors divided by the TDM mean
-    and from `relative_covariance`, the covariance over the square of the
-    TDM mean (by default covariance / mean / mean), so that it does not
-    underflow to 0. An estimate over itself with the squared ratio
-    (std_err / mean) * (std_err / mean) there still has error 0.
-    Everywhere else the error keeps its plain form's bits."""
+    first-order error propagation. `relative_covariance` is the covariance
+    of the two estimates over the square of the TDM mean: 0 for independent
+    draws, and (std_err / mean) * (std_err / mean) for an estimate over
+    itself, whose gain error is then exactly 0. The error is formed from the
+    standard errors divided by the TDM mean, so it does not underflow where
+    their squares would."""
     mean = tdm_rate.mean
     if not (mean > 0):
         raise NumericsError("TDM reference rate must be positive to form a gain")
@@ -550,15 +538,8 @@ def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
         raise NumericsError(f"TDM reference rate {mean!r} squares to 0, "
                             "so the gain's error cannot be formed")
     value = scheme_rate.mean / mean
-    errors = (scheme_rate.std_err, tdm_rate.std_err)
-    if all(x == 0.0 or x * x >= sys.float_info.min for x in (mean,) + errors):
-        variance = (errors[0] ** 2 - 2.0 * value * covariance
-                    + value * value * errors[1] ** 2) / mean ** 2
-    else:
-        if relative_covariance is None:
-            relative_covariance = covariance / mean / mean
-        numerator, denominator = (x / mean for x in errors)
-        variance = (numerator * numerator - 2.0 * value * relative_covariance
-                    + value * value * (denominator * denominator))
+    numerator, denominator = scheme_rate.std_err / mean, tdm_rate.std_err / mean
+    variance = (numerator * numerator - 2.0 * value * relative_covariance
+                + value * value * (denominator * denominator))
     return GainEstimate(value=value, std_err=math.sqrt(max(variance, 0.0)),
                         numerator=scheme_rate, denominator=tdm_rate)

@@ -881,8 +881,8 @@ def test_cli_sweep_below_the_squared_rate_underflow_makes_error_rows(tmp_path):
     ("tdm,mn,acc", "-700,-1600"),
 ])
 def test_cli_sweep_far_below_the_domain_keeps_a_positive_stderr(tmp_path, schemes, rho_dbs):
-    # there the control-corrected variance cancels to rounding; it is
-    # floored at the expansion's rounding bound instead of reading 0
+    # there the control-corrected residual is nearly constant; its
+    # standard error is floored at one rounding of the mean, never 0
     out = tmp_path / "far.csv"
     assert main(["sweep", "--axis", f"rho_db={rho_dbs}", "--gain", "2",
                  "--users-per-group", "2", "--schemes", schemes, "--trials", "1000",
@@ -892,6 +892,7 @@ def test_cli_sweep_far_below_the_domain_keeps_a_positive_stderr(tmp_path, scheme
     for row in rows:
         assert row["error"] == "", row
         assert float(row["rate_stderr"]) > 0.0, row
+        assert float(row["rate_stderr"]) >= 2 ** -53 * float(row["rate_mean"]), row
 
 
 def test_cli_sweep_where_squared_errors_underflow_keeps_a_gain_error(tmp_path):

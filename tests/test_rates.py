@@ -368,7 +368,7 @@ def test_control_variates_shrink_the_low_snr_error():
 
 
 HONESTY_SEEDS = range(1000, 1200)
-HONESTY_RHOS_DB = (-20.0, 0.0, 20.0)
+HONESTY_RHOS_DB = (-80.0, -20.0, 0.0, 20.0)
 #: two-sided level of each chi-square check of a reported error bar
 HONESTY_LEVEL = 1e-3
 
@@ -377,7 +377,7 @@ def test_reported_error_bars_match_the_spread_across_seeds():
     # Over 200 seeds of 2000 trials, (N - 1) s^2 / sigma^2 is chi-square
     # with N - 1 degrees of freedom, where s^2 is the sample variance of the
     # estimates and sigma^2 is taken as the mean reported variance. Each of
-    # the 15 (SNR, quantity) checks is two-sided at HONESTY_LEVEL. The
+    # the 20 (SNR, quantity) checks is two-sided at HONESTY_LEVEL. The
     # z-scores against the exact rate are tested per SNR, since the SNRs of
     # one seed share their draws and only the seeds are independent.
     runs = [_shared(HONESTY_RHOS_DB, seed) for seed in HONESTY_SEEDS]
@@ -466,7 +466,7 @@ def test_estimates_are_identical_for_any_worker_count(monkeypatch, gain, users, 
     runs = []
     for workers in ("1", "2", "3", "8"):
         monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
-        runs.append(repr([(e.rates, e.covariance) for e in mc_average_rates(
+        runs.append(repr([(e.rates, e.relative_covariance) for e in mc_average_rates(
             gain, users, rhos, ("tdm", "mn", "acc"), num_trials, 4)]))
     assert runs[1:] == runs[:1] * 3
 
@@ -549,7 +549,7 @@ def test_trial_rates_are_not_views_of_a_reused_buffer():
 _FRESH_ESTIMATE = """
 from cachecast.rates import mc_average_rates
 estimates = mc_average_rates({gain}, {users}, [0.1, 10.0], ("tdm", "mn", "acc"), {trials}, 5)
-print(repr([(e.rates, e.covariance) for e in estimates]))
+print(repr([(e.rates, e.relative_covariance) for e in estimates]))
 """
 
 
@@ -566,7 +566,7 @@ def test_shapes_estimated_in_turn_match_fresh_processes(monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        in_turn = [repr([(e.rates, e.covariance) for e in mc_average_rates(
+        in_turn = [repr([(e.rates, e.relative_covariance) for e in mc_average_rates(
             gain, users, [0.1, 10.0], ("tdm", "mn", "acc"), trials, 5)]) for gain, users in shapes]
     finally:
         sys.setswitchinterval(interval)
@@ -590,17 +590,18 @@ def test_gain_error_keeps_the_covariance_where_it_underflows():
 
     correlation = 0.75
     covariance = correlation * 2e-9 * 1e-9
-    in_range = effective_gain(*pair(1.0), covariance)
+    in_range = effective_gain(*pair(1.0), covariance / 1.0 ** 2)
     deep = pair(1e-160)
     assert (2e-9 * 1e-160) ** 2 < sys.float_info.min  # the plain form would lose it
-    gain = effective_gain(*deep, covariance * 1e-320, relative_covariance=covariance)
+    # the covariance over the TDM mean squared is the in-range one
+    gain = effective_gain(*deep, covariance)
     assert gain.value == in_range.value
     assert gain.std_err == pytest.approx(in_range.std_err, rel=1e-12)
     assert gain.std_err < effective_gain(*deep).std_err  # the correlation counts
     # an estimate over itself with its squared ratio has no error
     tdm = deep[1]
     ratio = tdm.std_err / tdm.mean
-    assert effective_gain(tdm, tdm, tdm.std_err ** 2, ratio * ratio).std_err == 0.0
+    assert effective_gain(tdm, tdm, ratio * ratio).std_err == 0.0
 
 
 def test_shared_gains_keep_the_covariance_where_it_underflows():
@@ -625,6 +626,31 @@ def test_gain_error_counts_the_covariance():
     numerator = RateEstimate(mean=2.0, std_err=0.02, num_trials=1000, scheme=Scheme.MN)
     denominator = RateEstimate(mean=1.0, std_err=0.01, num_trials=1000, scheme=Scheme.TDM)
     covariance = 0.5 * 0.02 * 0.01
-    gain = effective_gain(numerator, denominator, covariance)
+    gain = effective_gain(numerator, denominator, covariance / denominator.mean ** 2)
     expected = math.sqrt(0.02 ** 2 + (2.0 * 0.01) ** 2 - 2 * 2.0 * covariance)
     assert gain.std_err == pytest.approx(expected, rel=1e-12)
+
+
+IN_RANGE = st.floats(1e-30, 1e30)
+
+
+@given(mean_a=IN_RANGE, mean_b=IN_RANGE, err_a=IN_RANGE, err_b=IN_RANGE,
+       correlation=st.floats(-1.0, 1.0))
+def test_gain_error_is_the_textbook_first_order_form(mean_a, mean_b, err_a, err_b,
+                                                     correlation):
+    # in range the one form, with the errors over the reference mean, is
+    # sqrt(s_a^2 - 2 v c + v^2 s_b^2) / m_b for the covariance c, to
+    # rounding of its three terms
+    numerator = RateEstimate(mean=mean_a, std_err=err_a, num_trials=1000, scheme=Scheme.MN)
+    denominator = RateEstimate(mean=mean_b, std_err=err_b, num_trials=1000, scheme=Scheme.TDM)
+    covariance = correlation * err_a * err_b
+    gain = effective_gain(numerator, denominator, covariance / mean_b ** 2)
+    value = mean_a / mean_b
+    terms = (err_a ** 2, -2.0 * value * covariance, value ** 2 * err_b ** 2)
+    textbook = math.sqrt(max(sum(terms), 0.0)) / mean_b
+    magnitude = sum(abs(term) for term in terms) / mean_b ** 2
+    # compared as variances: where the terms cancel, the square root would
+    # turn their rounding into a larger relative error
+    assert gain.std_err ** 2 == pytest.approx(textbook ** 2, rel=1e-13, abs=1e-13 * magnitude)
+    ratio = err_b / mean_b
+    assert effective_gain(denominator, denominator, ratio * ratio).std_err == 0.0
