@@ -25,7 +25,6 @@ their arrays are read-only.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -447,9 +446,9 @@ class _CharFnTable:
 
     def __init__(self, rho: float):
         self.rho = rho
-        # below the boundary the integrand is treated as smooth; above it the
-        # oscillatory weight rule takes over. The CF varies on scale ~rho
-        # in t below unit SNR and on an O(1) scale above it.
+        # below the boundary the integrand is treated as smooth, above it as
+        # linear between the nodes. The CF varies on scale ~rho in t below
+        # unit SNR and on an O(1) scale above it.
         self.boundary = 2.0 / min(rho, 1.0)
         peak_density = 1.0 / rho if rho <= 1.0 else math.exp(1.0 / rho - 1.0)
         envelope = 1.0 / rho + 2.0 * peak_density
@@ -474,33 +473,30 @@ class _CharFnTable:
         return np.interp(t, self.t_grid, self.re) + 1j * np.interp(t, self.t_grid, self.im)
 
 
-def _interp(x: float, xp, fp) -> float:
-    """float(np.interp(x, xp, fp)) for a scalar x >= xp[0], with the same
-    arithmetic, over memoryviews: np.interp copies a read-only xp per call."""
-    j = bisect.bisect_right(xp, x) - 1
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
 class _MinSumInversion:
     """Survival function of S = sum over the group of ln(1+SNR), recovered
     from phi^users_per_group by inversion of the characteristic function."""
 
     def __init__(self, rho: float, users_per_group: int):
-        self.rho = rho
         self.b = users_per_group
         self.table = _cf_table(rho)
-        power = self.table.phi(self.table.t_grid) ** users_per_group
-        with np.errstate(divide="ignore", invalid="ignore"):
-            safe_t = np.where(self.table.t_grid > 0.0, self.table.t_grid, 1.0)
-            # the scalar tail callbacks read these through read-only views
-            self._t, self._im_over_t, self._re_over_t = (
-                memoryview(arr).toreadonly()
-                for arr in (self.table.t_grid, power.imag / safe_t, power.real / safe_t))
+        # the tail [boundary, tmax] starts at the last node of the linear grid
+        self._t = self.table.t_grid[self.table.DENSE_LINEAR - 1:]
+        # phi^B/t at the tail's ends, its slopes there and its slope jumps
+        # at the inner nodes
+        f = self.table.phi(self._t) ** users_per_group
+        f /= self._t
+        slope = np.diff(f)
+        slope /= np.diff(self._t)
+        self._ends, self._end_slopes = f[[0, -1]], slope[[0, -1]]
+        self._jumps = np.diff(slope)
+        for arr in (self._ends, self._end_slopes, self._jumps):
+            arr.setflags(write=False)
 
     def survival(self, y: float) -> float:
-        """P(S > y) = 1/2 + (1/pi) * integral of Im{e^{-jty} phi^B}/t dt."""
+        """P(S > y) = 1/2 + (1/pi) * integral of Im{e^{-jty} phi^B}/t dt to
+        tmax: Gauss-Legendre on [0, boundary], and beyond it the exact
+        integral of phi^B/t interpolated linearly between the table's nodes."""
         if y <= 0:
             return 1.0
         table = self.table
@@ -514,17 +510,24 @@ class _MinSumInversion:
         phi_b = table.phi(t) ** self.b
         integrand = (phi_b.imag * np.cos(y * t) - phi_b.real * np.sin(y * t)) / t
         low = 0.5 * a * float(np.sum(weights * integrand))
-        # oscillatory tail [a, tmax]: smooth 1/t-weighted factors against
-        # cos/sin(y t), handled by QUADPACK's oscillatory rule
-        im_part = _checked_quad(
-            lambda tt: _interp(tt, self._t, self._im_over_t),
-            a, table.tmax, weight="cos", wvar=y, abs_tol=1e-9, rel_tol=1e-9,
-            limit=500, what=f"CDF inversion cos-part (rho={self.rho}, y={y:.4g})")
-        re_part = _checked_quad(
-            lambda tt: _interp(tt, self._t, self._re_over_t),
-            a, table.tmax, weight="sin", wvar=y, abs_tol=1e-9, rel_tol=1e-9,
-            limit=500, what=f"CDF inversion sin-part (rho={self.rho}, y={y:.4g})")
-        return 0.5 + (low + im_part - re_part) / math.pi
+        # tail [a, tmax]: Im(f) against cos(yt) less Re(f) against sin(yt),
+        # f = phi^B/t linear between the nodes. By parts twice (Filon 1928),
+        # f against w(yt) = d W(yt)/y dt is [f W/y + f' w/y^2] at the ends
+        # less the slope jumps times w(y t_k)/y^2. The jumps add up to the
+        # change of slope, so cos(yt) - 1 = -2 sin(yt/2)^2 may stand for
+        # w = cos(yt); small y does not cancel it
+        # sin(yt) = 2 sin(yt/2) cos(yt/2) and cos(yt) - 1, built in place
+        sin = np.cos(0.5 * y * self._t)
+        cos_m1 = np.sin(0.5 * y * self._t)
+        sin *= 2.0 * cos_m1
+        cos_m1 *= -2.0 * cos_m1
+        (f0, f1), (d0, d1), jumps = self._ends, self._end_slopes, self._jumps
+        cos_part = ((f1.imag * sin[-1] - f0.imag * sin[0]) / y
+                    + (d1.imag * cos_m1[-1] - d0.imag * cos_m1[0]
+                       - jumps.imag @ cos_m1[1:-1]) / (y * y))
+        sin_part = ((f0.real * (1.0 + cos_m1[0]) - f1.real * (1.0 + cos_m1[-1])) / y
+                    + (d1.real * sin[-1] - d0.real * sin[0] - jumps.real @ sin[1:-1]) / (y * y))
+        return 0.5 + (low + float(cos_part - sin_part)) / math.pi
 
     def survival_clipped(self, y: float) -> float:
         return min(1.0, max(0.0, self.survival(y)))

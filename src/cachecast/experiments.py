@@ -299,11 +299,10 @@ def _mc_cells(shared, name):
     if isinstance(shared, CachecastError):
         raise shared
     scheme, reference = (Scheme.ACC, Scheme.MN) if name == MC_RATIO else (Scheme(name), Scheme.TDM)
-    gain = shared.gain(scheme, reference)
-    cells = {"gain": gain.value, "gain_stderr": gain.std_err, "trials": gain.numerator.num_trials}
+    gain, rate = shared.gain(scheme, reference), shared.rates[scheme]
+    cells = {"gain": gain.value, "gain_stderr": gain.std_err, "trials": rate.num_trials}
     if name == MC_RATIO:
         return cells
-    rate = shared.rates[scheme]
     return {"rate_mean": rate.mean, "rate_stderr": rate.std_err, **cells}
 
 

@@ -96,7 +96,6 @@ class RateEstimate:
     mean: float
     std_err: float
     num_trials: int
-    scheme: Scheme
 
     def __post_init__(self):
         check_int(self.num_trials, "num_trials")
@@ -111,8 +110,6 @@ class GainEstimate:
 
     value: float
     std_err: float
-    numerator: RateEstimate
-    denominator: RateEstimate
 
 
 @dataclass(frozen=True)
@@ -163,14 +160,14 @@ def _draw_buffer(count, groups, users):
     return np.empty(-(-count // BLOCK_TRIALS) * users * BLOCK_TRIALS * groups)
 
 
-def _scratch(count, groups, arrays=3):
-    """`arrays` (blocks, BLOCK_TRIALS, groups) arrays for chunks of up to
-    `count` trials, in which one worker builds the ACC metric: two, and a
-    third for groups longer than one block (_block_users). Made once per
-    estimation, so chunks do not hand fresh arrays to the OS and fault them
-    in again."""
+def _scratch(count, groups):
+    """Three (blocks, BLOCK_TRIALS, groups) arrays for chunks of up to
+    `count` trials, in which one worker builds the ACC metric: two, and the
+    third for groups longer than one block (_block_users); pages that are
+    never written are never made resident. Made once per estimation, so
+    chunks do not hand fresh arrays to the OS and fault them in again."""
     shape = (-(-count // BLOCK_TRIALS), BLOCK_TRIALS, groups)
-    return tuple(np.empty(shape) for _ in range(arrays))
+    return tuple(np.empty(shape) for _ in range(3))
 
 
 def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
@@ -423,9 +420,10 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     its own control at each SNR. Each estimate chunk then gives the mean and
     co-moments of the residuals r = metric - beta (control - its mean), so
     the rate is its prefactor times the mean of r and the standard error its
-    prefactor times sqrt(var(r) / n). That is floored at 2^-53 |rate|, one
-    rounding of the rate, where the metric is so nearly beta times its
-    control that r is constant to rounding.
+    prefactor times sqrt(var(r) / n), floored at 2 + ceil(log2(chunks))
+    roundings of the rate, one per step it takes (the chunk means, each
+    level of their merge tree, the prefactor), where the metric is so
+    nearly beta times its control that r is constant to rounding.
     """
     schemes = tuple(Scheme.parse(s) for s in schemes)
     rhos = [float(rho) for rho in rhos]
@@ -447,11 +445,10 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     workers = min(workers, max(-(-largest // BLOCK_TRIALS), len(rhos)))
     groups, users = columns[-1]  # sorted, the widest in both groups and users
     draws = _draw_buffer(largest, groups, users)
-    # the ACC metric needs two scratch arrays, three if a group is split
-    arrays = 0 if users == 1 else 3 if any(_block_users(rho, users) < users for rho in rhos) else 2
-    scratch = [_scratch(largest, groups, arrays) for _ in range(min(workers, len(rhos)))]
+    scratch = [_scratch(largest, groups) for _ in range(min(workers, len(rhos)))]
     timings.update(workers=workers, draw_s=0.0, metrics_s=0.0)
     k = len(columns)
+    roundings = 2 + (len(chunks) - 1).bit_length()
     control_means = np.array([_control_mean(*column) for column in columns])
     with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
         run = partial(_chunk_moments, columns=columns, rhos=rhos, base_seed=base_seed,
@@ -468,7 +465,7 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
         prefactor = np.array([groups / LN2 for groups, _ in columns]) / _metric_scale(rho)
         value = prefactor * mean
         std_err = np.maximum(prefactor * np.sqrt(np.diag(s) / (n * (n - 1))),
-                             2.0 ** -53 * np.abs(value))
+                             roundings * 2.0 ** -53 * np.abs(value))
         # covariance [i, j] over value[j] squared, from the scaled
         # co-moments, so that it holds where the covariance underflows; nan
         # where a mean is 0, which no gain uses, as its TDM mean squares to
@@ -479,7 +476,7 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
             ratio = std_err / value
         np.fill_diagonal(relative, ratio * ratio)
         rates = {scheme: RateEstimate(mean=float(value[i]), std_err=float(std_err[i]),
-                                      num_trials=n, scheme=scheme)
+                                      num_trials=n)
                  for scheme, i in index.items()}
         relative_covariance = {(a, b): float(relative[i, j])
                                for a, i in index.items() for b, j in index.items()}
@@ -541,5 +538,4 @@ def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,
     numerator, denominator = scheme_rate.std_err / mean, tdm_rate.std_err / mean
     variance = (numerator * numerator - 2.0 * value * relative_covariance
                 + value * value * (denominator * denominator))
-    return GainEstimate(value=value, std_err=math.sqrt(max(variance, 0.0)),
-                        numerator=scheme_rate, denominator=tdm_rate)
+    return GainEstimate(value=value, std_err=math.sqrt(max(variance, 0.0)))

@@ -125,10 +125,11 @@ def _finish_times(stage, snr, subfile_size: float) -> list:
 
     A group serves its members one after another, each at its own rate
     log2(1+SNR), so a slot's finish times are the running sums of
-    subfile_size / rate along its users.
+    subfile_size / rate along its users. An `snr` that is not an SnrMatrix
+    is checked as one.
     """
     size = check_positive(subfile_size, "subfile_size")
-    mat = snr.snr if isinstance(snr, SnrMatrix) else np.asarray(snr, dtype=float)
+    mat = (snr if isinstance(snr, SnrMatrix) else SnrMatrix(snr=snr)).snr
     stage = tuple(map(int, stage))
     if len(set(stage)) != len(stage):
         raise ParameterError(f"stage has repeated groups: {stage}")

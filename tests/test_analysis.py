@@ -591,19 +591,7 @@ def test_exact_integral_consistent_with_large_b_form():
     assert abs(exact - approx) / exact < 0.02
 
 
-# ---------------------------------------------------------------- inversion callbacks, bit for bit
-
-def test_scalar_interpolant_is_np_interp_byte_for_byte():
-    inv = analysis._inversion(1.0, 2)
-    t_grid = inv.table.t_grid
-    im_over_t = np.asarray(inv._im_over_t)
-    rng = np.random.default_rng(5)
-    xs = np.concatenate([rng.uniform(t_grid[0], t_grid[-1], 10_000), t_grid[::997],
-                         t_grid[[0, -1]], [t_grid[-1] * 2.0]])
-    for x in xs.tolist():
-        assert (analysis._interp(x, inv._t, inv._im_over_t).hex()
-                == float(np.interp(x, t_grid, im_over_t)).hex()), x
-
+# ---------------------------------------------------------------- inversion table and tail
 
 def closure_char_fn_table(table):
     """(re, im) of `table` rebuilt with one closure density per frequency
@@ -634,30 +622,46 @@ def test_char_fn_table_is_the_closure_density_rebuild_byte_for_byte(rho):
     assert table.im.tobytes() == im.tobytes()
 
 
-def np_interp_survival(inv, y):
-    """P(S > y) with np.interp on the read-only grid in the tail callbacks."""
+def piecewise_tail_survival(inv, y):
+    """P(S > y) with the inversion's Gauss-Legendre part on [0, boundary]
+    and its tail on [boundary, tmax] integrated piece by piece in long
+    double. On [t_k, t_k+1] the linear f = f_k + s_k (t - t_k) gives
+    int f cos(yt) = [f sin(yt) / y] + s_k (cos(y t_k+1) - cos(y t_k)) / y^2
+    and int f sin(yt) = [-f cos(yt) / y] + s_k (sin(y t_k+1) - sin(y t_k)) / y^2,
+    the differences taken as products of sines and cosines of the piece's
+    midpoint and half-width, which narrow pieces do not cancel."""
     table, a = inv.table, inv.table.boundary
-    im_over_t, re_over_t = np.asarray(inv._im_over_t), np.asarray(inv._re_over_t)
-    assert not table.t_grid.flags.writeable
     nodes, weights = np.polynomial.legendre.leggauss(
         min(4096, 64 + 14 * int(y * a / (2.0 * math.pi) + 1)))
     t = 0.5 * a * (nodes + 1.0)
     phi_b = table.phi(t) ** inv.b
     integrand = (phi_b.imag * np.cos(y * t) - phi_b.real * np.sin(y * t)) / t
     low = 0.5 * a * float(np.sum(weights * integrand))
-    tails = [integrate.quad(lambda tt, fp=fp: float(np.interp(tt, table.t_grid, fp)),
-                            a, table.tmax, weight=weight, wvar=y, epsabs=1e-9,
-                            epsrel=1e-9, limit=500, full_output=1)[0]
-             for fp, weight in ((im_over_t, "cos"), (re_over_t, "sin"))]
-    return 0.5 + (low + tails[0] - tails[1]) / math.pi
+
+    t = table.t_grid[table.t_grid >= a]
+    f = table.phi(t) ** inv.b / t
+    t, y_ld = t.astype(np.longdouble), np.longdouble(y)
+    im, re = f.imag.astype(np.longdouble), f.real.astype(np.longdouble)
+    mid, half = y_ld * (t[1:] + t[:-1]) / 2, np.sin(y_ld * np.diff(t) / 2)
+    cos_part = ((im[-1] * np.sin(y_ld * t[-1]) - im[0] * np.sin(y_ld * t[0])) / y_ld
+                - np.sum(np.diff(im) / np.diff(t) * 2 * np.sin(mid) * half) / y_ld ** 2)
+    sin_part = ((re[0] * np.cos(y_ld * t[0]) - re[-1] * np.cos(y_ld * t[-1])) / y_ld
+                + np.sum(np.diff(re) / np.diff(t) * 2 * np.cos(mid) * half) / y_ld ** 2)
+    return 0.5 + (low + float(cos_part - sin_part)) / math.pi
 
 
-@pytest.mark.parametrize("rho, b", [(1.0, 2), (10 ** 0.4, 3)])
-def test_capacity_sum_cdf_is_the_np_interp_survival_byte_for_byte(rho, b):
+@pytest.mark.parametrize("rho, b, y", [
+    (10 ** 0.8, 6, 11.186937961303292),
+    (10 ** 0.8, 6, 0.01 * 6 * mean_log1p_snr(10 ** 0.8)),
+    (1.0, 2, 0.01 * 2 * mean_log1p_snr(1.0)),
+    (1.0, 2, 4.0),
+])
+def test_inversion_tail_is_the_exact_integral_of_the_interpolants(rho, b, y):
+    # the tail is the exact integral of the linear interpolants of
+    # Im(phi^B)/t and Re(phi^B)/t between the table's nodes, also at 0.01 of
+    # the mean sum, where its by-parts terms cancel the most
     inv = analysis._inversion(rho, b)
-    for y in (0.3, 1.1, 2.5, 4.0):
-        expected = 1.0 - min(1.0, max(0.0, np_interp_survival(inv, y)))
-        assert capacity_sum_cdf(y, rho, b).hex() == expected.hex(), y
+    assert abs(inv.survival(y) - piecewise_tail_survival(inv, y)) <= 1e-11
 
 
 def test_building_an_inversion_holds_no_list_copies():

@@ -882,7 +882,8 @@ def test_cli_sweep_below_the_squared_rate_underflow_makes_error_rows(tmp_path):
 ])
 def test_cli_sweep_far_below_the_domain_keeps_a_positive_stderr(tmp_path, schemes, rho_dbs):
     # there the control-corrected residual is nearly constant; its
-    # standard error is floored at one rounding of the mean, never 0
+    # standard error is floored at one rounding per step of the estimate,
+    # never 0
     out = tmp_path / "far.csv"
     assert main(["sweep", "--axis", f"rho_db={rho_dbs}", "--gain", "2",
                  "--users-per-group", "2", "--schemes", schemes, "--trials", "1000",

@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -273,8 +274,8 @@ def test_self_ratio_is_exactly_one():
 
 
 def test_gain_error_propagation_is_first_order():
-    numerator = RateEstimate(mean=2.0, std_err=0.02, num_trials=1000, scheme=Scheme.MN)
-    denominator = RateEstimate(mean=1.0, std_err=0.01, num_trials=1000, scheme=Scheme.TDM)
+    numerator = RateEstimate(mean=2.0, std_err=0.02, num_trials=1000)
+    denominator = RateEstimate(mean=1.0, std_err=0.01, num_trials=1000)
     gain = effective_gain(numerator, denominator)
     assert gain.value == pytest.approx(2.0)
     expected = math.sqrt(0.02 ** 2 + (2.0 * 0.01) ** 2)
@@ -282,8 +283,8 @@ def test_gain_error_propagation_is_first_order():
 
 
 def test_gain_requires_positive_reference():
-    bad = RateEstimate(mean=0.0, std_err=0.0, num_trials=1000, scheme=Scheme.TDM)
-    good = RateEstimate(mean=1.0, std_err=0.0, num_trials=1000, scheme=Scheme.MN)
+    bad = RateEstimate(mean=0.0, std_err=0.0, num_trials=1000)
+    good = RateEstimate(mean=1.0, std_err=0.0, num_trials=1000)
     with pytest.raises(NumericsError):
         effective_gain(good, bad)
 
@@ -399,6 +400,21 @@ def test_reported_error_bars_match_the_spread_across_seeds():
             z = [(run[i].rates[scheme].mean - exact) / run[i].rates[scheme].std_err
                  for run in runs]
             assert stats.kstest(z, "norm").pvalue > 0.01, (rho_db, scheme)
+
+
+@pytest.mark.parametrize("num_trials, seeds", [(1000, 150), (100_000, 80)])
+def test_the_far_edge_floor_covers_the_spread_of_the_rounding(num_trials, seeds):
+    # At -200 dB (gain 2, 2 users per group) every residual is constant to
+    # rounding, so each reported error is the floor, while the rates spread
+    # across seeds by the rounding of the chunk means, their merge tree and
+    # the prefactor, which the floor must cover.
+    runs = [mc_average_rates(2, 2, [1e-20], ("tdm", "mn", "acc"), num_trials, seed)[0]
+            for seed in range(1000, 1000 + seeds)]
+    for scheme in Scheme:
+        # statistics.stdev is exact; numpy's rounding of the mean would add
+        # to a spread this near the rounding
+        spread = statistics.stdev(run.rates[scheme].mean for run in runs)
+        assert spread <= 1.1 * statistics.median(run.rates[scheme].std_err for run in runs), scheme
 
 
 def test_a_sweep_keeps_at_most_one_chunk_array_live():
@@ -582,10 +598,8 @@ def test_gain_error_keeps_the_covariance_where_it_underflows():
     # estimates near 1e-160, whose squared errors and covariance underflow,
     # have the relative gain error of the same estimates near 1
     def pair(scale):
-        numerator = RateEstimate(mean=2.0 * scale, std_err=2e-9 * scale, num_trials=1000,
-                                 scheme=Scheme.MN)
-        denominator = RateEstimate(mean=1.0 * scale, std_err=1e-9 * scale, num_trials=1000,
-                                   scheme=Scheme.TDM)
+        numerator = RateEstimate(mean=2.0 * scale, std_err=2e-9 * scale, num_trials=1000)
+        denominator = RateEstimate(mean=1.0 * scale, std_err=1e-9 * scale, num_trials=1000)
         return numerator, denominator
 
     correlation = 0.75
@@ -623,8 +637,8 @@ def test_shared_gains_keep_the_covariance_where_it_underflows():
 
 
 def test_gain_error_counts_the_covariance():
-    numerator = RateEstimate(mean=2.0, std_err=0.02, num_trials=1000, scheme=Scheme.MN)
-    denominator = RateEstimate(mean=1.0, std_err=0.01, num_trials=1000, scheme=Scheme.TDM)
+    numerator = RateEstimate(mean=2.0, std_err=0.02, num_trials=1000)
+    denominator = RateEstimate(mean=1.0, std_err=0.01, num_trials=1000)
     covariance = 0.5 * 0.02 * 0.01
     gain = effective_gain(numerator, denominator, covariance / denominator.mean ** 2)
     expected = math.sqrt(0.02 ** 2 + (2.0 * 0.01) ** 2 - 2 * 2.0 * covariance)
@@ -641,8 +655,8 @@ def test_gain_error_is_the_textbook_first_order_form(mean_a, mean_b, err_a, err_
     # in range the one form, with the errors over the reference mean, is
     # sqrt(s_a^2 - 2 v c + v^2 s_b^2) / m_b for the covariance c, to
     # rounding of its three terms
-    numerator = RateEstimate(mean=mean_a, std_err=err_a, num_trials=1000, scheme=Scheme.MN)
-    denominator = RateEstimate(mean=mean_b, std_err=err_b, num_trials=1000, scheme=Scheme.TDM)
+    numerator = RateEstimate(mean=mean_a, std_err=err_a, num_trials=1000)
+    denominator = RateEstimate(mean=mean_b, std_err=err_b, num_trials=1000)
     covariance = correlation * err_a * err_b
     gain = effective_gain(numerator, denominator, covariance / mean_b ** 2)
     value = mean_a / mean_b

@@ -229,6 +229,15 @@ def test_zero_rate_user_raises():
         acc_stage_timeline((0, 1), snr, 1.0)
 
 
+@pytest.mark.parametrize("stage_delay", [acc_stage_timeline,
+                                         acc_stage_completion_closed_form])
+@pytest.mark.parametrize("snr", [[[math.nan, 1.0]], [[math.inf, 1.0]], [[-0.5, 1.0]],
+                                 [1.0, 2.0]], ids=["nan", "inf", "negative", "1-D"])
+def test_a_stage_checks_a_raw_snr_array_as_a_matrix(stage_delay, snr):
+    with pytest.raises(ParameterError):
+        stage_delay((0,), np.array(snr), 1.0)
+
+
 def test_round_robin_order_and_monotone_times():
     rng = np.random.default_rng(5)
     snr = SnrMatrix(snr=rng.exponential(1.0, size=(4, 5)) + 1e-9)
