@@ -16,12 +16,12 @@ users_per_group) shape. Each chunk of trials draws one array of standard
 exponentials E = -ln(1-u), as wide as the widest requested scheme and
 laid out (blocks, users, trials, groups) in blocks of BLOCK_TRIALS trials:
 TDM reads user 0 of group 0, MN user 0 of every group, ACC the whole
-array. Only the metrics run once per SNR, so all schemes and SNRs share
+array. Only the metrics depend on the SNR, so all schemes and SNRs share
 their draws, and each takes one log1p per trial: TDM and MN are
 ln(1 + rho c) of their controls c below, and ACC is ln(1 + p) / users
 of the smallest group's p = prod(1 + rho E) - 1, built user by user as
 p += (1 + p) E rho. That is within (4 users + 6) 2^-53 relative of the
-worst group's mean of ln(1 + rho E) at any SNR (_log_metrics).
+worst group's mean of ln(1 + rho E) at any SNR (_acc_rows).
 
 Each metric is corrected by a control variate: the same metric on the
 linear-SNR scale, divided by rho (E of the lone user, the smallest E of the
@@ -41,13 +41,14 @@ and centred co-moments of its residuals at each SNR, and these merge in a
 fixed tree order, so the result is bit-identical for any worker count and
 does not depend on which other SNRs are estimated alongside.
 
-The workers share each chunk. Each draws a run of its blocks from its own
-generator on the chunk's substream, advanced past the earlier blocks: a
-PCG64 stream gives one 64-bit output per double and jumps any number of
-outputs ahead in O(log n) steps, so the pieces hold the bits of one draw.
-Then the SNRs are dealt round-robin, each worker building its metrics in
-its own scratch arrays. The calling thread is one of the workers. By
-default there are as many workers as usable cores, but at most
+The workers split each chunk into runs of blocks. Each draws its run from
+its own generator on the chunk's substream, advanced past the earlier
+blocks (PCG64 gives one output per double and jumps n outputs ahead in
+O(log n) steps, so the pieces hold the bits of one draw), then builds its
+blocks' controls and every SNR's metrics, which are elementwise in the
+trials, so no split changes a bit. Then the calling thread, itself one of
+the workers, takes each SNR's moments from the whole chunk. By default
+there are as many workers as usable cores, but at most
 MAX_DEFAULT_WORKERS, the most that have been measured.
 """
 
@@ -60,6 +61,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -87,6 +89,11 @@ WORKERS_ENV_VAR = "CACHECAST_WORKERS"
 #: seeding its own generator, and thread counts from the CPU affinity
 #: ignore CPU quotas. CACHECAST_WORKERS sets any count.
 MAX_DEFAULT_WORKERS = 2
+
+#: Most elements of one ACC metric call: a worker stacks the SNRs that
+#: share a _block_users step into one product of up to this size, long
+#: enough that two threads' calls do not contend on the interpreter lock.
+STACK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -160,14 +167,11 @@ def _draw_buffer(count, groups, users):
     return np.empty(-(-count // BLOCK_TRIALS) * users * BLOCK_TRIALS * groups)
 
 
-def _scratch(count, groups):
-    """Three (blocks, BLOCK_TRIALS, groups) arrays for chunks of up to
-    `count` trials, in which one worker builds the ACC metric: two, and the
-    third for groups longer than one block (_block_users); pages that are
-    never written are never made resident. Made once per estimation, so
-    chunks do not hand fresh arrays to the OS and fault them in again."""
-    shape = (-(-count // BLOCK_TRIALS), BLOCK_TRIALS, groups)
-    return tuple(np.empty(shape) for _ in range(3))
+def _scratch(size):
+    """Three flat arrays of `size` doubles for one worker's ACC metric
+    (_acc_rows), made once per estimation, so chunks do not fault fresh
+    arrays in; pages that are never written are never made resident."""
+    return tuple(np.empty(size) for _ in range(3))
 
 
 def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
@@ -192,26 +196,13 @@ def _exponentials(base_seed: int, substream_index: int, count: int, groups: int,
     return chunk
 
 
-def _group_min(values):
-    """Minimum over the last (groups) axis, as a running np.minimum over its
-    slices: numpy reduces a short innermost axis one element at a time,
-    several times slower. The minimum is exact, so the result is the same."""
-    least = values[..., 0].copy()
+def _group_min(values, out):
+    """Minimum over the last (groups) axis into `out`, as a running
+    np.minimum over its slices: numpy reduces a short innermost axis one
+    element at a time, several times slower, to the same exact minimum."""
+    np.copyto(out, values[..., 0])
     for g in range(1, values.shape[-1]):
-        np.minimum(least, values[..., g], out=least)
-    return least
-
-
-def _controls(e, columns, count, scratch):
-    """Each column's metric on E instead of ln(1 + rho E): E of the lone
-    user, the smallest E of the served users, or the smallest group mean of
-    E, summing the users in the first array of `scratch`. The smallest mean
-    is the smallest sum divided by the users: fl(x / users) is monotone in
-    x, so dividing after the minimum gives the same bits on fewer values."""
-    out = []
-    for groups, users in columns:
-        values = e[:, 0] if users == 1 else np.sum(e, axis=1, out=scratch[0][:len(e)])
-        out.append(_group_min(values[..., :groups]).reshape(-1)[:count] / users)
+        np.minimum(out, values[..., g], out=out)
     return out
 
 
@@ -236,43 +227,77 @@ def _product_minus_one(e, rho, start, stop, p, term):
     return p
 
 
-def _log_metrics(e, rho, columns, controls, scratch):
-    """Each column's natural-log metric at SNR rho, from the columns'
-    `controls` and the (blocks, BLOCK_TRIALS, groups) arrays of `scratch`
-    (_scratch), with one log1p per trial.
+def _stacks(rhos, users, share):
+    """Runs (slice, step) of adjacent SNRs of `rhos` that share a
+    _block_users step, of one to STACK_ELEMENTS // share SNRs, where one
+    SNR's ACC metric takes `share` elements of a worker's blocks. The step
+    falls as rho grows, so a sweep in SNR order stacks all of a step."""
+    most = max(1, STACK_ELEMENTS // share)
+    stacks, start = [], 0
+    for step, run in groupby(_block_users(rho, users) for rho in rhos):
+        stop = start + len(list(run))
+        stacks += [(slice(i, min(i + most, stop)), step) for i in range(start, stop, most)]
+        start = stop
+    return stacks
 
-    A single-user column is ln(1 + rho c) of its control c, the smallest E:
-    fl(rho x) and log1p are monotone, so this is the minimum of
-    ln(1 + rho E) over the groups, bit for bit.
 
-    The ACC column is ln(1 + p) / users for the smallest group's
-    p = prod(1 + rho E_j) - 1. Every term of p's update is nonnegative, so
-    after k users p is within (4k - 3) 2^-53 of its exact value, relatively,
-    at any SNR, where a plain product of 1 + rho E would lose rho E to
-    rounding. With log1p to 4 ulp, the metric is within (4 users + 6) 2^-53
-    of the worst group's mean of ln(1 + rho E). A group longer than one
-    block (_block_users) sums the log1p of its blocks' p before the
-    minimum."""
-    out = []
-    for (groups, users), control in zip(columns, controls):
+def _acc_rows(e, rho, users, groups, step, scratch, out):
+    """The ACC metric of the blocks `e` at the SNRs `rho` of one
+    _block_users step, into the (SNRs, trials) rows `out`, built as one
+    (SNRs, blocks, BLOCK_TRIALS, groups) product in `scratch`.
+
+    It is ln(1 + p) / users for the smallest group's p = prod(1 + rho E_j)
+    - 1. Every term of p's update is nonnegative, so after k users p is
+    within (4k - 3) 2^-53 of its exact value, relatively, at any SNR, where
+    a plain product of 1 + rho E would lose rho E to rounding. With log1p to
+    4 ulp, the metric is within (4 users + 6) 2^-53 of the worst group's
+    mean of ln(1 + rho E). A group longer than one block sums the log1p of
+    its blocks' p before the minimum."""
+    shape = (len(rho), len(e), BLOCK_TRIALS, e.shape[-1])
+    p, term, total = (array[:math.prod(shape)].reshape(shape) for array in scratch)
+    rho = rho.reshape(-1, 1, 1, 1)
+    if step == users:
+        values = _product_minus_one(e, rho, 0, users, p, term)
+    else:
+        values = total
+        total.fill(0.0)
+        for start in range(0, users, step):
+            product = _product_minus_one(e, rho, start, min(start + step, users), p, term)
+            total += np.log1p(product, out=product)
+    least = _group_min(values[..., :groups], term.reshape(-1)[:math.prod(shape[:3])]
+                       .reshape(shape[:3]))
+    if step == users:
+        np.log1p(least, out=least)
+    return np.divide(least.reshape(len(rho), -1)[:, :out.shape[1]], users, out=out)
+
+
+def _block_rows(e, start, stop, count, columns, rhos, stacks, controls, metrics, scratch):
+    """Each column's control, into the (columns, whole blocks) `controls`,
+    and its metric at each SNR of the array `rhos`, into the (SNRs, columns,
+    count) `metrics`, for the blocks start <= i < stop of the chunk `e`.
+
+    A control is the metric on E instead of ln(1 + rho E): E of the lone
+    user, the smallest E of the served users, or the smallest group sum of
+    E over the users, summed in `scratch`: fl(x / users) is monotone, so
+    dividing after the minimum gives the same bits on fewer values. A
+    single-user metric is ln(1 + rho c) of its control c, the minimum of
+    ln(1 + rho E) over the groups bit for bit, as fl(rho x) and log1p are
+    monotone. The ACC metric runs by `stacks` (_stacks, _acc_rows)."""
+    e = e[start:stop]
+    first, last = start * BLOCK_TRIALS, min(stop * BLOCK_TRIALS, count)
+    for c, (groups, users) in enumerate(columns):
+        control = controls[c, first:stop * BLOCK_TRIALS].reshape(len(e), BLOCK_TRIALS)
+        rows = metrics[:, c, first:last]
         if users == 1:
-            values = np.multiply(control, rho)
-            out.append(np.log1p(values, out=values))
+            _group_min(e[:, 0, :, :groups], control)
+            np.multiply(control.reshape(-1)[:last - first], rhos[:, None], out=rows)
+            np.log1p(rows, out=rows)
             continue
-        p, term = scratch[0][:len(e)], scratch[1][:len(e)]
-        step = _block_users(rho, users)
-        if step == users:
-            least = _group_min(_product_minus_one(e, rho, 0, users, p, term)[..., :groups])
-            np.log1p(least, out=least)
-        else:
-            total = scratch[2][:len(e)]
-            total.fill(0.0)
-            for start in range(0, users, step):
-                product = _product_minus_one(e, rho, start, min(start + step, users), p, term)
-                total += np.log1p(product, out=product)
-            least = _group_min(total[..., :groups])
-        out.append(least.reshape(-1)[:len(control)] / users)
-    return out
+        sums = scratch[0][:control.size * e.shape[-1]].reshape(e[:, 0].shape)
+        _group_min(np.sum(e, axis=1, out=sums)[..., :groups], control)
+        control /= users
+        for stack, step in stacks:
+            _acc_rows(e, rhos[stack], users, groups, step, scratch, rows[stack])
 
 
 def _metric_scale(rho):
@@ -284,21 +309,20 @@ def _metric_scale(rho):
     return math.ldexp(1.0, min(1000, max(0, -math.frexp(rho)[1])))
 
 
-def _snr_moments(e, rhos, columns, controls, scratch, betas=None, centred=None):
-    """(mean, centred co-moments) at each SNR of `rhos`, built in one
-    worker's `scratch`, of the residuals scaled metric - beta (control - its
-    mean) of every column, from that SNR's `betas` and the `centred`
-    controls; or, without `betas` (the pilot), of the scaled metrics and
+def _snr_moments(metrics, controls, rhos, betas=None):
+    """(mean, centred co-moments) at each SNR of `rhos` of the residuals
+    scaled metric - beta (control - its mean) of every column, from the
+    (SNRs, columns, trials) `metrics`, that SNR's `betas` and the centred
+    `controls`; or, without `betas` (the pilot), of the scaled metrics and
     then the controls. Each metric is scaled by _metric_scale(rho)."""
     moments = []
     for i, rho in enumerate(rhos):
-        rows = _log_metrics(e, rho, columns, controls, scratch)
-        values = np.stack(rows + controls if betas is None else rows)
+        values = metrics[i] if betas is not None else np.concatenate((metrics[i], controls))
         scale = _metric_scale(rho)
         if scale != 1.0:
-            values[:len(columns)] *= scale
+            values[:len(metrics[i])] *= scale
         if betas is not None:
-            values -= betas[i][:, None] * centred
+            values -= betas[i][:, None] * controls
         mean = values.mean(axis=1)
         values -= mean[:, None]
         # einsum, not BLAS: its sums do not depend on the thread count
@@ -306,46 +330,45 @@ def _snr_moments(e, rhos, columns, controls, scratch, betas=None, centred=None):
     return moments
 
 
-def _on_workers(pool, jobs):
-    """Results of the callables `jobs`, in order: the first run by the
-    calling thread, the others by the pool's helper threads."""
-    futures = [pool.submit(job) for job in jobs[1:]]
-    try:
-        first = jobs[0]()
-    finally:
-        wait(futures)  # no helper is left writing to the shared arrays
-    return [first] + [future.result() for future in futures]
-
-
-def _chunk_moments(chunk, columns, rhos, base_seed, draws, scratch, pool, workers, timings,
+def _chunk_moments(chunk, columns, rhos, stacks, base_seed, buffers, pool, workers, timings,
                    betas=None, control_means=None):
     """(trials, mean, centred co-moments) of the chunk (substream, trials),
     one row per SNR, as _snr_moments gives them: of the residuals from each
     SNR's `betas` and the columns' exact `control_means`, or without
     `betas` of the metrics and then the controls. Each of the `workers`
-    draws a run of the blocks into `draws`; then the calling thread builds
-    the controls, centred on their means, and the i-th scratch set's worker
-    takes every len(scratch)-th SNR from the i-th. `timings` gathers the
-    seconds of the draw and of the metrics."""
+    draws a run of blocks into the draw buffer of `buffers` and builds their
+    rows in its controls, metric and scratch arrays (_block_rows); then the
+    calling thread takes the moments. `timings` gathers the calling
+    worker's seconds in its draw, and in its rows plus the moments."""
     substream_index, count = chunk
-    started = time.perf_counter()
+    draws, controls, metrics, scratch = buffers
+    metrics = metrics[:len(rhos) * len(columns) * count].reshape(len(rhos), len(columns), count)
+
+    def build(w, start, stop):
+        started = time.perf_counter()
+        e = _exponentials(base_seed, substream_index, count, *columns[-1], draws, start, stop)
+        drawn = time.perf_counter()
+        _block_rows(e, start, stop, count, columns, rhos, stacks, controls, metrics, scratch[w])
+        return drawn - started, time.perf_counter() - drawn
+
     blocks = -(-count // BLOCK_TRIALS)
     bounds = [blocks * w // workers for w in range(workers + 1)]
-    draw = partial(_exponentials, base_seed, substream_index, count, *columns[-1], draws)
-    e = _on_workers(pool, [partial(draw, start, stop)
-                           for start, stop in zip(bounds, bounds[1:]) if start < stop])[0]
-    drawn = time.perf_counter()
-    controls = _controls(e, columns, count, scratch[0])
-    centred = None if betas is None else np.stack(controls) - control_means[:, None]
-    dealt = len(scratch)
-    shares = _on_workers(pool, [partial(_snr_moments, e, rhos[w::dealt], columns, controls,
-                                        scratch[w], betas and betas[w::dealt], centred)
-                                for w in range(dealt)])
-    moments = [None] * len(rhos)
-    for w, share in enumerate(shares):
-        moments[w::dealt] = share
-    timings["draw_s"] += drawn - started
-    timings["metrics_s"] += time.perf_counter() - drawn
+    runs = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if start < stop]
+    # the calling thread takes the first run, the pool's helpers the others
+    futures = [pool.submit(build, w, *run) for w, run in enumerate(runs) if w]
+    try:
+        draw_s, rows_s = build(0, *runs[0])
+    finally:
+        wait(futures)  # no helper is left writing to the shared arrays
+    for future in futures:
+        future.result()  # a helper's error
+    started = time.perf_counter()
+    centred = controls[:, :count]
+    if betas is not None:
+        centred -= control_means[:, None]
+    moments = _snr_moments(metrics, centred, rhos, betas)
+    timings["draw_s"] += draw_s
+    timings["metrics_s"] += rows_s + time.perf_counter() - started
     means, comoments = zip(*moments)
     return count, np.array(means), np.array(comoments)
 
@@ -409,12 +432,14 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     num_trials, base_seed) regardless of the worker count, which the
     CACHECAST_WORKERS environment variable sets (by default the number of
     usable cores, at most MAX_DEFAULT_WORKERS), and of the other SNRs in
-    `rhos`. No more workers run than the blocks of the largest chunk or the
-    SNRs give work to. The estimation holds one chunk-sized draw buffer,
-    whatever the worker count, and one set of scratch arrays of one user's
-    size per worker. A `timings` dict, when given, receives the workers
-    that ran ("workers") and the seconds spent drawing ("draw_s") and
-    building the metrics and their moments ("metrics_s").
+    `rhos`. No more workers run than the largest chunk has blocks. The
+    estimation holds one chunk-sized draw buffer, whatever the worker
+    count, one chunk's controls and metric rows at every SNR, and per worker
+    three scratch arrays of one SNR's share of the blocks, or of a stack of
+    SNRs up to STACK_ELEMENTS. A `timings` dict, when given, receives the
+    workers that ran ("workers") and the calling worker's seconds in its
+    draws ("draw_s") and in its metrics plus the moments ("metrics_s"),
+    without its waits for the other workers.
 
     The pilot chunk runs first and fixes each column's coefficient beta on
     its own control at each SNR. Each estimate chunk then gives the mean and
@@ -432,7 +457,6 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     for rho in rhos:
         SystemConfig.from_gain(gain, users_per_group, rho)  # validate the shape
     check_run(num_trials, base_seed)
-    workers = _worker_count()
     if timings is None:
         timings = {}
 
@@ -442,17 +466,21 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     pilot = (PILOT_SUBSTREAM, _pilot_trials(int(num_trials)))
     chunks = _chunk_plan(int(num_trials))
     largest = max(count for _, count in chunks + [pilot])
-    workers = min(workers, max(-(-largest // BLOCK_TRIALS), len(rhos)))
+    blocks = -(-largest // BLOCK_TRIALS)
+    workers = min(_worker_count(), blocks)
     groups, users = columns[-1]  # sorted, the widest in both groups and users
-    draws = _draw_buffer(largest, groups, users)
-    scratch = [_scratch(largest, groups) for _ in range(min(workers, len(rhos)))]
+    share = -(-blocks // workers) * BLOCK_TRIALS * groups  # one SNR's largest share
+    stacks = _stacks(rhos, users, share)
+    size = 0 if users == 1 else share * max(s.stop - s.start for s, _ in stacks)
+    buffers = (_draw_buffer(largest, groups, users), np.empty((len(columns), blocks * BLOCK_TRIALS)),
+               np.empty(len(rhos) * len(columns) * largest), [_scratch(size) for _ in range(workers)])
     timings.update(workers=workers, draw_s=0.0, metrics_s=0.0)
     k = len(columns)
     roundings = 2 + (len(chunks) - 1).bit_length()
     control_means = np.array([_control_mean(*column) for column in columns])
     with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
-        run = partial(_chunk_moments, columns=columns, rhos=rhos, base_seed=base_seed,
-                      draws=draws, scratch=scratch, pool=pool, workers=workers,
+        run = partial(_chunk_moments, columns=columns, rhos=np.array(rhos), stacks=stacks,
+                      base_seed=base_seed, buffers=buffers, pool=pool, workers=workers,
                       timings=timings)
         # coefficient of each metric on its own control, from the pilot
         betas = [np.diag(s[:k, k:]) / np.diag(s[k:, k:]) for s in run(pilot)[2]]
@@ -508,15 +536,18 @@ def trial_rates(config: SystemConfig, scheme: Scheme, num_trials: int,
     """
     scheme = Scheme.parse(scheme)
     num_trials = check_int(num_trials, "num_trials")
-    column = _scheme_columns(config.nominal_gain, config.users_per_group, [scheme])[scheme]
-    count = min(num_trials, CHUNK_TRIALS)
-    draws, scratch = _draw_buffer(count, *column), _scratch(count, column[0])
-    chunks = []
-    for index, count in _chunk_plan(num_trials):
-        e = _exponentials(base_seed, index, count, *column, draws)
-        controls = _controls(e, [column], count, scratch)
-        chunks += _log_metrics(e, config.avg_snr, [column], controls, scratch)
-    return column[0] / LN2 * np.concatenate(chunks)
+    groups, users = column = _scheme_columns(config.nominal_gain, config.users_per_group,
+                                             [scheme])[scheme]
+    rho = np.array([float(config.avg_snr)])
+    padded = -(-min(num_trials, CHUNK_TRIALS) // BLOCK_TRIALS) * BLOCK_TRIALS
+    draws, controls = _draw_buffer(padded, groups, users), np.empty((1, padded))
+    scratch, stacks = _scratch(padded * groups), _stacks(rho, users, padded * groups)
+    metrics = np.empty(num_trials)
+    for (index, count), first in zip(_chunk_plan(num_trials), range(0, num_trials, CHUNK_TRIALS)):
+        e = _exponentials(base_seed, index, count, groups, users, draws)
+        _block_rows(e, 0, len(e), count, [column], rho, stacks, controls,
+                    metrics[first:first + count].reshape(1, 1, count), scratch)
+    return groups / LN2 * metrics
 
 
 def effective_gain(scheme_rate: RateEstimate, tdm_rate: RateEstimate,

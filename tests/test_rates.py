@@ -31,18 +31,35 @@ LN2 = math.log(2.0)
 
 # ---------------------------------------------------------------- per-trial metrics
 
+def chunk_rows(e, rhos, columns, count, bounds=None):
+    """The controls (columns, count) and metric rows (SNRs, columns, count)
+    of the chunk `e` of `count` trials at the SNRs `rhos`, from the stacked
+    kernel rates._block_rows, run on each block range of `bounds` (the
+    whole chunk by default) as the workers run it."""
+    rhos = np.array(rhos, dtype=float)
+    groups, users = columns[-1]
+    share = len(e) * BLOCK_TRIALS * groups
+    stacks = rates._stacks(rhos, users, share)
+    controls = np.full((len(columns), len(e) * BLOCK_TRIALS), np.nan)
+    metrics = np.full((len(rhos), len(columns), count), np.nan)
+    scratch = rates._scratch(share * len(rhos))
+    bounds = bounds or [0, len(e)]
+    for start, stop in zip(bounds, bounds[1:]):
+        rates._block_rows(e, start, stop, count, columns, rhos, stacks, controls, metrics,
+                          scratch)
+    return controls[:, :count], metrics
+
+
 def stage_rate(snr):
     """The estimator's per-trial metric of one realization, in bits/s/Hz per
-    user: the worst group's mean log2(1+SNR), from rates._log_metrics on a
+    user: the worst group's mean log2(1+SNR), from the stacked kernel on a
     one-trial chunk whose (groups, users) SNRs are the exponentials at rho 1."""
     snr = np.asarray(snr, dtype=float)
     groups, users = snr.shape
     e = np.zeros((1, users, BLOCK_TRIALS, groups))
     e[0, :, 0, :] = snr.T
-    scratch = rates._scratch(1, groups)
-    controls = rates._controls(e, [(groups, users)], 1, scratch)
-    (values,) = rates._log_metrics(e, 1.0, [(groups, users)], controls, scratch)
-    return float(values[0]) / LN2
+    _, metrics = chunk_rows(e, [1.0], [(groups, users)], 1)
+    return float(metrics[0, 0, 0]) / LN2
 
 
 def test_mn_rate_unit_case():
@@ -216,8 +233,7 @@ def test_controls_match_the_textbook_reductions(gain, users, tied):
     columns = sorted({(1, 1), (gain, 1), (gain, users)})
     expected = {(1, 1): e[:, 0, :, 0], (gain, 1): e[:, 0].min(axis=-1),
                 (gain, users): e.mean(axis=1).min(axis=-1)}
-    scratch = rates._scratch(count, gain)
-    got = rates._controls(e, columns, count, scratch)
+    got, _ = chunk_rows(e, [1.0], columns, count)
     assert len(got) == len(columns)
     for column, values in zip(columns, got):
         assert values.tobytes() == expected[column].reshape(-1)[:count].tobytes(), column
@@ -243,9 +259,8 @@ def test_acc_metric_is_the_log_sum_formula_to_rounding(gain, users, rho_db):
     count = 2 * BLOCK_TRIALS - 40
     e = _chunk_exponentials(41, 1, count, gain, users)
     column = (gain, users)
-    scratch = rates._scratch(count, gain)
-    controls = rates._controls(e, [column], count, scratch)
-    (got,) = rates._log_metrics(e, rho, [column], controls, scratch)
+    _, metrics = chunk_rows(e, [rho], [column], count)
+    got = metrics[0, 0]
     formula = (np.log1p(rho * e).sum(axis=1).min(axis=-1) / users).reshape(-1)[:count]
     assert np.all(formula > 0)
     error = np.max(np.abs(got - formula) / formula)
@@ -475,6 +490,11 @@ def test_a_chunk_drawn_in_pieces_is_its_one_call_draw(workers, count):
     (5, 16, (0.0,), 3 * CHUNK_TRIALS + 300),  # one SNR: only the draw is split
     (2, 64, (-20.0, 0.0, 30.0, 60.0), 2 * CHUNK_TRIALS + 300),  # 60 dB splits the groups
     (4, 3, (0.0, 20.0), 100),  # one block, fewer than the workers
+    (4, 32, (-20.0, 0.0, 20.0), 2 * CHUNK_TRIALS + 300),  # the wide mc_sweep part
+    # eleven SNRs of one step: more than one stack at one to three workers
+    (5, 4, tuple(range(-30, 31, 6)), CHUNK_TRIALS + 300),
+    # a last chunk of seven blocks: unequal shares at two and three workers
+    (3, 5, (-10.0, 10.0), CHUNK_TRIALS + 6 * BLOCK_TRIALS + 100),
 ])
 def test_estimates_are_identical_for_any_worker_count(monkeypatch, gain, users, rhos_db,
                                                       num_trials):
@@ -485,6 +505,65 @@ def test_estimates_are_identical_for_any_worker_count(monkeypatch, gain, users, 
         runs.append(repr([(e.rates, e.relative_covariance) for e in mc_average_rates(
             gain, users, rhos, ("tdm", "mn", "acc"), num_trials, 4)]))
     assert runs[1:] == runs[:1] * 3
+
+
+def test_eleven_snrs_of_one_step_make_more_than_one_stack():
+    # the case above stacks its SNRs in runs at one worker's share of a
+    # 32-block chunk
+    rhos = [10.0 ** (value / 10.0) for value in range(-30, 31, 6)]
+    stacks = rates._stacks(rhos, 4, 32 * BLOCK_TRIALS * 5)
+    assert len({step for _, step in stacks}) == 1 and len(stacks) == 4
+    assert [s.stop - s.start for s, _ in stacks] == [3, 3, 3, 2]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_trial_rates_are_the_stacked_kernels_rows(scheme):
+    # trial_rates takes one SNR through the kernel the estimator stacks
+    # SNRs in; that SNR's row of the scheme's own draws, among other SNRs
+    # and narrower columns and at any block split, holds the same bits,
+    # across a chunk boundary and a short last chunk
+    gain, users, tail = 4, 5, 700
+    rhos = [0.5, 2.0, 8.0, 1e5]  # 1e5 splits each group into two blocks
+    config = SystemConfig.from_gain(gain, users, avg_snr=rhos[1])
+    groups, width = column = rates._scheme_columns(gain, users, [scheme])[scheme]
+    columns = sorted({(1, 1), (groups, 1), column})
+    expected = []
+    for substream_index, count in ((1, CHUNK_TRIALS), (2, tail)):
+        e = _chunk_exponentials(12, substream_index, count, groups, width)
+        _, metrics = chunk_rows(e, rhos, columns, count, [0, len(e) // 3, len(e)])
+        expected.append(metrics[1, -1])
+    got = trial_rates(config, scheme, CHUNK_TRIALS + tail, base_seed=12)
+    assert got.tobytes() == (groups / LN2 * np.concatenate(expected)).tobytes()
+
+
+@pytest.mark.parametrize("gain,users,num_snrs,workers", [
+    (4, 32, 3, "1"),  # the wide mc_sweep part: every SNR in one stack
+    (4, 32, 3, "2"),
+    (4, 3, 12, "1"),  # the stack cap binds: four SNRs a call
+    (20, 6, 2, "1"),  # one SNR of the share is past the cap: one a call
+])
+def test_an_estimation_holds_its_buffers_and_exact_scratch(monkeypatch, gain, users,
+                                                           num_snrs, workers):
+    # the draw buffer, the controls, the metric rows of every SNR and each
+    # worker's three scratch arrays, of max(one SNR of its share, its
+    # stack up to the cap) doubles, are all an estimation keeps; beyond
+    # them the moments allocate about one SNR's rows of a chunk at a time
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
+    rhos = [10.0 ** (value / 10.0) for value in np.linspace(-20.0, 20.0, num_snrs)]
+    columns, blocks, count = 3, CHUNK_TRIALS // BLOCK_TRIALS, CHUNK_TRIALS
+    share = -(-blocks // int(workers)) * BLOCK_TRIALS * gain
+    stack = min(num_snrs, max(1, rates.STACK_ELEMENTS // share))
+    buffers = 8 * (count * users * gain + columns * count + num_snrs * columns * count
+                   + int(workers) * 3 * share * stack)
+    mc_average_rates(gain, users, rhos, ("tdm", "mn", "acc"), 100, 9)  # warm caches
+    tracemalloc.start()
+    try:
+        mc_average_rates(gain, users, rhos, ("tdm", "mn", "acc"), 2 * count, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    temporaries = 8 * 2 * columns * count
+    assert buffers <= peak <= buffers + temporaries, (peak - buffers) / temporaries
 
 
 def test_the_default_worker_count_is_the_usable_cores_up_to_the_cap(monkeypatch):
@@ -503,8 +582,8 @@ def test_the_default_worker_count_is_the_usable_cores_up_to_the_cap(monkeypatch)
 
 
 @pytest.mark.parametrize("num_trials,rhos,ran", [
-    (100, [1.0, 2.0], 2),  # one block: only the two SNRs give work
-    (100, [1.0, 2.0, 3.0, 4.0, 5.0], 5),
+    (100, [1.0, 2.0], 1),  # one block: one worker, whatever the SNRs
+    (100, [1.0, 2.0, 3.0, 4.0, 5.0], 1),
     (3 * BLOCK_TRIALS, [1.0], 3),  # three blocks, one SNR
     (2 * CHUNK_TRIALS, [1.0], 8),
 ])

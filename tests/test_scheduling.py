@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import re
@@ -185,6 +186,39 @@ def test_closed_form_timeline_matches_the_fluid_event_loop(gain, users, seed, ti
 
 def test_worked_example_matches_the_fluid_event_loop():
     assert_matches_fluid_event_loop(*example2_stage())
+
+
+def merged_events(stage, snr, subfile_size):
+    """The stage's events from a k-way merge of the slots' running sums of
+    subfile_size / log2(1 + SNR): a finish within 1e-12 relative of its
+    batch's first takes that time, and a batch lists its finishes in slot
+    order."""
+    rows = (subfile_size / np.log2(1.0 + snr.snr[list(stage)])).cumsum(axis=1).tolist()
+    batches = []
+    for t, i, j in heapq.merge(*[[(t, i, j) for j, t in enumerate(row)]
+                                 for i, row in enumerate(rows)]):
+        if not batches or t > batches[-1][0] * (1.0 + 1e-12):
+            batches.append((t, []))
+        batches[-1][1].append((i, j))
+    return [(first, stage[i], j) for first, slots in batches for i, j in sorted(slots)]
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from([None, 0.0, 1e-13, 9e-13, 2e-12, 1e-9]))
+def test_timeline_events_are_the_merge_of_the_slots_running_sums(gain, users, seed, nudge):
+    # random stages; with a nudge, every group's SNRs are one row's times
+    # 1 + k nudge, so groups finish at exactly equal times (0), inside the
+    # 1e-12 batching (1e-13, 9e-13) or just outside it
+    rng = np.random.default_rng(seed)
+    matrix = rng.exponential(1.0, size=(gain + 1, users)) + 1e-12
+    if nudge is not None:
+        matrix = matrix[:1] * (1.0 + nudge * rng.integers(0, 3, size=(gain + 1, 1)))
+    stage = tuple(int(g) for g in rng.permutation(gain + 1)[:gain])
+    snr, size = SnrMatrix(snr=matrix), float(rng.uniform(0.05, 2.0))
+    timeline = acc_stage_timeline(stage, snr, size)
+    assert list(timeline.events) == merged_events(stage, snr, size)
+    assert timeline.completion_time == timeline.events[-1].time
 
 
 def test_zero_rate_error_lists_the_group_user_pairs():
