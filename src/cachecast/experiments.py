@@ -285,10 +285,10 @@ def _mc_estimates(spec):
             shared = [exc] * len(points)
         seconds = time.perf_counter() - started
         log.info("shared estimation gain=%d users_per_group=%d: %d SNRs, %d trials, "
-                 "%d workers, draw %.6f s, metrics %.6f s, %.0f trial-SNRs/s, %.6f s",
+                 "%d workers, draw %.6f s, metrics %.6f s, %.0f trial-SNRs/s, cpu %.6f s, %.6f s",
                  gain, users_per_group, len(points), spec.num_trials, timings.get("workers", 0),
                  timings.get("draw_s", 0.0), timings.get("metrics_s", 0.0),
-                 spec.num_trials * len(points) / seconds, seconds)
+                 spec.num_trials * len(points) / seconds, timings.get("cpu_s", 0.0), seconds)
         estimates.update((index, estimate) for (index, _), estimate in zip(points, shared))
     return estimates
 

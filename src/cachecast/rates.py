@@ -45,11 +45,18 @@ The workers split each chunk into runs of blocks. Each draws its run from
 its own generator on the chunk's substream, advanced past the earlier
 blocks (PCG64 gives one output per double and jumps n outputs ahead in
 O(log n) steps, so the pieces hold the bits of one draw), then builds its
-blocks' controls and every SNR's metrics, which are elementwise in the
-trials, so no split changes a bit. Then the calling thread, itself one of
-the workers, takes each SNR's moments from the whole chunk. By default
-there are as many workers as usable cores, but at most
+blocks' controls, every SNR's metrics and their residuals, which are
+elementwise in the trials, so no split changes a bit. Then the calling
+thread, itself one of the workers, takes each SNR's moments from the whole
+chunk. By default there are as many workers as usable cores, but at most
 MAX_DEFAULT_WORKERS, the most that have been measured.
+
+Where the workers, more than one, take every usable core, each runs on a
+core of its own for the estimation. Left to itself, the scheduler was seen
+to keep the calling thread and its helper on one core of a two-core host
+for a whole process, which then took as long as one worker. Fewer workers
+than cores are not pinned, so concurrent runs on a larger host do not
+crowd its first cores.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -87,7 +94,9 @@ WORKERS_ENV_VAR = "CACHECAST_WORKERS"
 #: Most workers by default: the split of a chunk has been timed on two
 #: cores only. Beyond that a worker draws only a few blocks, each piece
 #: seeding its own generator, and thread counts from the CPU affinity
-#: ignore CPU quotas. CACHECAST_WORKERS sets any count.
+#: ignore CPU quotas. CACHECAST_WORKERS sets any count. Workers are pinned
+#: to a core each only when they take every usable core (_worker_pool), so
+#: the default two are pinned on a two-core host and not on a larger one.
 MAX_DEFAULT_WORKERS = 2
 
 #: Most elements of one ACC metric call: a worker stacks the SNRs that
@@ -151,6 +160,45 @@ def _worker_count() -> int:
     except ValueError:
         raise ParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {workers!r}") from None
     return check_int(count, WORKERS_ENV_VAR)
+
+
+def _pin(core):
+    """Run the calling thread on `core` alone. Returns the cores it ran on
+    before, or None if the system refused (OSError) and it runs where it
+    did."""
+    previous = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {core})
+    except OSError:
+        return None
+    return previous
+
+
+@contextmanager
+def _worker_pool(workers):
+    """The pool of the workers - 1 helper threads, or None for one worker.
+    Where the workers, more than one, take every usable core, each runs on
+    a core of its own for the block: the calling thread on the first, the
+    helpers on the others in the order they start (_pin), and the calling
+    thread then goes back to the cores it ran on. Fewer or more workers
+    than cores run unpinned, so that concurrent runs on a larger host do
+    not crowd its first cores."""
+    if workers == 1:
+        yield None
+        return
+    cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    if len(cores) != workers:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            yield pool
+        return
+    helper_cores = iter(cores[1:])
+    previous = _pin(cores[0])
+    try:
+        with ThreadPoolExecutor(workers - 1, initializer=lambda: _pin(next(helper_cores))) as pool:
+            yield pool
+    finally:
+        if previous is not None:
+            os.sched_setaffinity(0, previous)
 
 
 def _scheme_columns(gain: int, users_per_group: int, schemes):
@@ -309,20 +357,30 @@ def _metric_scale(rho):
     return math.ldexp(1.0, min(1000, max(0, -math.frexp(rho)[1])))
 
 
-def _snr_moments(metrics, controls, rhos, betas=None):
-    """(mean, centred co-moments) at each SNR of `rhos` of the residuals
-    scaled metric - beta (control - its mean) of every column, from the
-    (SNRs, columns, trials) `metrics`, that SNR's `betas` and the centred
-    `controls`; or, without `betas` (the pilot), of the scaled metrics and
-    then the controls. Each metric is scaled by _metric_scale(rho)."""
-    moments = []
-    for i, rho in enumerate(rhos):
-        values = metrics[i] if betas is not None else np.concatenate((metrics[i], controls))
-        scale = _metric_scale(rho)
+def _residual_rows(metrics, controls, scales, betas=None, control_means=None):
+    """In place, on one worker's trials of the (SNRs, columns, trials)
+    `metrics` and the (columns, trials) `controls`: each SNR's metrics times
+    its scale (_metric_scale), and with `betas` the residuals scaled metric
+    - beta (control - its mean), the controls centred on their exact
+    `control_means` first. All of it is elementwise in the trials, so any
+    split of them gives the bits of the whole chunk at once."""
+    for rows, scale in zip(metrics, scales):
         if scale != 1.0:
-            values[:len(metrics[i])] *= scale
-        if betas is not None:
-            values -= betas[i][:, None] * controls
+            rows *= scale
+    if betas is not None:
+        controls -= control_means[:, None]
+        for rows, beta in zip(metrics, betas):
+            rows -= beta[:, None] * controls
+
+
+def _snr_moments(metrics, controls=None):
+    """(mean, centred co-moments) at each SNR of its rows of the (SNRs,
+    columns, trials) `metrics`, the residuals of _residual_rows; or, with
+    the `controls` (the pilot), of its scaled metrics and then the
+    controls."""
+    moments = []
+    for rows in metrics:
+        values = rows if controls is None else np.concatenate((rows, controls))
         mean = values.mean(axis=1)
         values -= mean[:, None]
         # einsum, not BLAS: its sums do not depend on the thread count
@@ -336,20 +394,26 @@ def _chunk_moments(chunk, columns, rhos, stacks, base_seed, buffers, pool, worke
     one row per SNR, as _snr_moments gives them: of the residuals from each
     SNR's `betas` and the columns' exact `control_means`, or without
     `betas` of the metrics and then the controls. Each of the `workers`
-    draws a run of blocks into the draw buffer of `buffers` and builds their
-    rows in its controls, metric and scratch arrays (_block_rows); then the
-    calling thread takes the moments. `timings` gathers the calling
-    worker's seconds in its draw, and in its rows plus the moments."""
+    draws a run of blocks into the draw buffer of `buffers`, builds their
+    rows in its controls, metric and scratch arrays (_block_rows) and turns
+    them into residuals (_residual_rows); then the calling thread takes the
+    moments. `timings` gathers the calling worker's CPU seconds in its draw
+    ("draw_s") and in its rows plus the moments ("metrics_s"), and the
+    other workers' CPU seconds in their runs ("cpu_s")."""
     substream_index, count = chunk
     draws, controls, metrics, scratch = buffers
     metrics = metrics[:len(rhos) * len(columns) * count].reshape(len(rhos), len(columns), count)
+    scales = [_metric_scale(rho) for rho in rhos]
 
     def build(w, start, stop):
-        started = time.perf_counter()
+        started = time.thread_time()
         e = _exponentials(base_seed, substream_index, count, *columns[-1], draws, start, stop)
-        drawn = time.perf_counter()
+        drawn = time.thread_time()
         _block_rows(e, start, stop, count, columns, rhos, stacks, controls, metrics, scratch[w])
-        return drawn - started, time.perf_counter() - drawn
+        first, last = start * BLOCK_TRIALS, min(stop * BLOCK_TRIALS, count)
+        _residual_rows(metrics[..., first:last], controls[:, first:last], scales, betas,
+                       control_means)
+        return drawn - started, time.thread_time() - drawn
 
     blocks = -(-count // BLOCK_TRIALS)
     bounds = [blocks * w // workers for w in range(workers + 1)]
@@ -361,14 +425,11 @@ def _chunk_moments(chunk, columns, rhos, stacks, base_seed, buffers, pool, worke
     finally:
         wait(futures)  # no helper is left writing to the shared arrays
     for future in futures:
-        future.result()  # a helper's error
-    started = time.perf_counter()
-    centred = controls[:, :count]
-    if betas is not None:
-        centred -= control_means[:, None]
-    moments = _snr_moments(metrics, centred, rhos, betas)
+        timings["cpu_s"] += sum(future.result())  # or a helper's error
+    started = time.thread_time()
+    moments = _snr_moments(metrics, None if betas is not None else controls[:, :count])
     timings["draw_s"] += draw_s
-    timings["metrics_s"] += rows_s + time.perf_counter() - started
+    timings["metrics_s"] += rows_s + time.thread_time() - started
     means, comoments = zip(*moments)
     return count, np.array(means), np.array(comoments)
 
@@ -436,10 +497,12 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     estimation holds one chunk-sized draw buffer, whatever the worker
     count, one chunk's controls and metric rows at every SNR, and per worker
     three scratch arrays of one SNR's share of the blocks, or of a stack of
-    SNRs up to STACK_ELEMENTS. A `timings` dict, when given, receives the
-    workers that ran ("workers") and the calling worker's seconds in its
-    draws ("draw_s") and in its metrics plus the moments ("metrics_s"),
-    without its waits for the other workers.
+    SNRs up to STACK_ELEMENTS. Where the workers take every usable core,
+    each runs on one of its own (_worker_pool). A `timings` dict, when
+    given, receives the workers that ran ("workers"), the calling worker's
+    CPU seconds in its draws ("draw_s") and in its metrics plus the moments
+    ("metrics_s"), and every worker's CPU seconds ("cpu_s"): near the
+    estimation's elapsed seconds with two workers, they shared one core.
 
     The pilot chunk runs first and fixes each column's coefficient beta on
     its own control at each SNR. Each estimate chunk then gives the mean and
@@ -474,11 +537,11 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
     size = 0 if users == 1 else share * max(s.stop - s.start for s, _ in stacks)
     buffers = (_draw_buffer(largest, groups, users), np.empty((len(columns), blocks * BLOCK_TRIALS)),
                np.empty(len(rhos) * len(columns) * largest), [_scratch(size) for _ in range(workers)])
-    timings.update(workers=workers, draw_s=0.0, metrics_s=0.0)
+    timings.update(workers=workers, draw_s=0.0, metrics_s=0.0, cpu_s=0.0)
     k = len(columns)
     roundings = 2 + (len(chunks) - 1).bit_length()
     control_means = np.array([_control_mean(*column) for column in columns])
-    with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as pool:
+    with _worker_pool(workers) as pool:
         run = partial(_chunk_moments, columns=columns, rhos=np.array(rhos), stacks=stacks,
                       base_seed=base_seed, buffers=buffers, pool=pool, workers=workers,
                       timings=timings)
@@ -486,6 +549,7 @@ def mc_average_rates(gain: int, users_per_group: int, rhos, schemes, num_trials:
         betas = [np.diag(s[:k, k:]) / np.diag(s[k:, k:]) for s in run(pilot)[2]]
         n, means, comoments = _tree_reduce(run(chunk, betas=betas, control_means=control_means)
                                            for chunk in chunks)
+    timings["cpu_s"] += timings["draw_s"] + timings["metrics_s"]  # the calling worker's
 
     estimates = []
     for rho, mean, s in zip(rhos, means, comoments):

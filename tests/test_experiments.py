@@ -212,7 +212,7 @@ def test_a_shapes_logged_time_excludes_other_shapes_and_closed_forms(monkeypatch
         ("shared", (2, 2, 1, 200)), ("shared", (2, 3, 1, 200)),
         ("closed", ("exact-mn", 2.0)), ("closed", ("exact-mn", 3.0))]
     # a shared record's throughput is its trials times SNRs over its time
-    assert all(args[-2] == args[3] * args[2] / args[-1]
+    assert all(args[-3] == args[3] * args[2] / args[-1]
                for kind, args in records if kind == "shared")
     # a time that held the other shape or the closed forms would read >= 0.2 s
     # for the first shape and >= 0.5 s for the second
@@ -366,12 +366,16 @@ def test_verbose_shared_estimation_reports_throughput(tmp_path, capsys):
         field.split() for field in fields[3:5])
     assert (draw_label, draw_unit, metrics_label, metrics_unit) == ("draw", "s", "metrics", "s")
     throughput, unit = fields[5].split()
-    seconds = float(fields[6].split()[0])
+    seconds = float(fields[7].split()[0])
     assert unit == "trial-SNRs/s"
     assert float(throughput) == pytest.approx(3 * 20000 / seconds, rel=1e-3)
     # the draw and the metrics are parts of the estimation's time
     assert 0.0 < float(draw) and 0.0 < float(metrics)
     assert float(draw) + float(metrics) <= seconds + 1.5e-6  # each printed to 1e-6
+    # every worker's CPU seconds, next to the elapsed ones, hold the calling one's
+    cpu_label, cpu, cpu_unit = fields[6].split()
+    assert (cpu_label, cpu_unit) == ("cpu", "s")
+    assert float(draw) + float(metrics) <= float(cpu) + 1.5e-6
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])

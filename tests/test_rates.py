@@ -1,8 +1,10 @@
+import errno
 import math
 import os
 import statistics
 import subprocess
 import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -592,6 +594,9 @@ def test_timings_report_the_workers_that_ran(monkeypatch, num_trials, rhos, ran)
     timings = {}
     mc_average_rates(3, 2, rhos, ("tdm", "acc"), num_trials, 6, timings=timings)
     assert timings["workers"] == ran
+    # every worker's CPU seconds hold the calling worker's draw and metrics
+    assert timings["cpu_s"] > 0.0
+    assert timings["cpu_s"] >= timings["draw_s"] + timings["metrics_s"]
 
 
 def test_one_worker_starts_no_pool(monkeypatch):
@@ -602,6 +607,107 @@ def test_one_worker_starts_no_pool(monkeypatch):
     monkeypatch.setattr(rates, "ThreadPoolExecutor", no_pool)
     estimates = mc_average_rates(4, 3, [0.5, 2.0], ("tdm", "mn", "acc"), 2 * CHUNK_TRIALS, 3)
     assert len(estimates) == 2
+
+
+_PINNABLE = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two usable cores")
+
+
+@pytest.fixture
+def two_cores():
+    """The test's thread on its first two usable cores, and back on all of
+    them after. Request it before monkeypatch, which is then undone first."""
+    previous, setaffinity = os.sched_getaffinity(0), os.sched_setaffinity
+    cores = set(sorted(previous)[:2])
+    setaffinity(0, cores)
+    try:
+        yield cores
+    finally:
+        setaffinity(0, previous)
+
+
+def _cores_in_runs(monkeypatch, fail_in_helper=False):
+    """(thread, cores) of every run of a chunk's blocks, read inside the
+    run; with `fail_in_helper` a run on a helper thread raises instead."""
+    caller, seen, block_rows = threading.get_ident(), [], rates._block_rows
+
+    def recording(*args):
+        seen.append((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        if fail_in_helper and threading.get_ident() != caller:
+            raise RuntimeError("a helper's run failed")
+        return block_rows(*args)
+
+    monkeypatch.setattr(rates, "_block_rows", recording)
+    return seen
+
+
+@_PINNABLE
+def test_two_workers_on_two_cores_run_on_one_core_each(two_cores, monkeypatch):
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, "2")
+    seen = _cores_in_runs(monkeypatch)
+    mc_average_rates(3, 2, [1.0], ("tdm", "acc"), 2 * CHUNK_TRIALS, 6)
+    cores = {}
+    for thread, mask in seen:
+        cores.setdefault(thread, set()).add(mask)
+    # the caller and one helper, each on one core of its own in every run
+    assert len(cores) == 2 and all(len(masks) == 1 for masks in cores.values())
+    assert sorted(core for masks in cores.values() for (core,) in masks) == sorted(two_cores)
+    assert os.sched_getaffinity(0) == two_cores  # restored after a normal return
+
+
+@_PINNABLE
+def test_the_callers_cores_are_restored_after_a_helpers_error(two_cores, monkeypatch):
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, "2")
+    seen = _cores_in_runs(monkeypatch, fail_in_helper=True)
+    with pytest.raises(RuntimeError, match="a helper's run failed"):
+        mc_average_rates(3, 2, [1.0], ("tdm", "acc"), 2 * CHUNK_TRIALS, 6)
+    assert len({mask for _, mask in seen}) == 2  # the error came from a pinned helper
+    assert os.sched_getaffinity(0) == two_cores
+
+
+@_PINNABLE
+@pytest.mark.parametrize("workers,usable,ran", [
+    ("1", None, 1),  # one worker
+    ("3", None, 3),  # more workers than cores
+    (None, 64, 2),  # the default two on a 64-core host: fewer workers than cores
+])
+def test_workers_that_do_not_take_every_core_are_not_pinned(two_cores, monkeypatch, workers,
+                                                            usable, ran):
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cores: pins.append(cores))
+    if workers is None:
+        monkeypatch.delenv(rates.WORKERS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(rates.WORKERS_ENV_VAR, workers)
+    if usable is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)))
+    timings = {}
+    mc_average_rates(3, 2, [1.0], ("tdm", "acc"), 2 * CHUNK_TRIALS, 6, timings=timings)
+    assert timings["workers"] == ran and pins == []
+
+
+@_PINNABLE
+def test_a_refused_pin_runs_unpinned_to_the_same_bytes(two_cores, monkeypatch):
+    def estimate():
+        return repr([(e.rates, e.relative_covariance) for e in mc_average_rates(
+            4, 3, [0.01, 1.0, 100.0], ("tdm", "mn", "acc"), CHUNK_TRIALS + 300, 8,
+            timings=timings)])
+
+    timings, refused = {}, []
+
+    def refuse(pid, cores):
+        refused.append(cores)
+        raise OSError(errno.EINVAL, "refused")
+
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, "1")
+    one = estimate()
+    monkeypatch.setenv(rates.WORKERS_ENV_VAR, "2")
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert estimate() == one
+    # both workers asked for a core of their own, and neither got one
+    assert timings["workers"] == 2 and len(refused) == 2
+    assert os.sched_getaffinity(0) == two_cores
 
 
 @pytest.mark.parametrize("num_trials", [100, 2000, 10_000, 100_000])
