@@ -15,6 +15,9 @@ and Richardson extrapolation over halvings of h brings the error bar
 within 1e-9 relative, or NumericsError is raised. On ln(1+SNR) it spans
 -40..60 dB in milliseconds.
 
+psi and the H integral are numerics._gauss_kronrod integrals of
+`scipy.special` ufuncs; only the inversion's table still calls QUADPACK.
+
 Conventions: rates are bits/s/Hz; `gain` is the nominal multicast size
 (number of simultaneously served groups); `users_per_group` is the number
 of users sharing one cache state. All functions are pure; the CDF
@@ -32,12 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import interpolate, special
 from scipy.fft import next_fast_len
-from scipy.special import cython_special
 
 from .errors import NumericsError, ParameterError, check_int, check_positive
 from .numerics import (
     _char_fn,
-    _checked_quad,
+    _gauss_kronrod,
     exp_scaled_e1,
     gauss_hermite_rule,
     second_moment_log1p,
@@ -145,36 +147,29 @@ def psi(gain: int, users_per_group: int) -> float:
     incomplete gamma function. Equals 1/gain for a single user per group
     and users_per_group when only one group is served.
 
-    Error budget: 1e-13 relative. The integral is split where the survival
-    power equals exp(-4^k), k = -5..4, so each piece spans a bounded range
-    of it whatever the shape; each piece meets 1e-13 relative or raises
-    NumericsError, and the pieces are positive, so their sum does too. The
-    tail beyond exp(-256) is dropped. Where Q is near 1 the power is taken
-    as exp(gain * log1p(-P)), P = 1 - Q computed directly, so a large gain
-    does not amplify the rounding of Q.
-
-    The integrand calls P and Q through `cython_special`, as C functions
-    of two floats: a `special` ufunc call on scalars costs about 1 us more,
-    nearly all of it ufunc dispatch, and QUADPACK asks for about 500 values
-    per psi. Both compute the same bits.
+    Error budget: 1e-13 relative, on the summed Gauss-Kronrod error bar of
+    numerics._gauss_kronrod. The integral is split where the survival power
+    equals exp(-4^k), k = -5..4, so each piece spans a bounded range of it
+    whatever the shape. The tail beyond exp(-256) is dropped. Where Q is
+    near 1 the power is taken as exp(gain * log1p(-P)), P = 1 - Q computed
+    directly, so a large gain does not amplify the rounding of Q.
     """
     g = check_int(gain, "gain")
     b = check_int(users_per_group, "users_per_group")
-    shape = float(b)
 
     def survival(x):
-        p = cython_special.gammainc(shape, x)
-        return (math.exp(g * math.log1p(-p)) if p < 0.5
-                else cython_special.gammaincc(shape, x) ** g)
+        p = special.gammainc(b, x)
+        low = p < 0.5
+        power = np.empty_like(p)
+        power[low] = np.exp(g * np.log1p(-p[low]))
+        power[~low] = special.gammaincc(b, x[~low]) ** g
+        return power
 
     t = 4.0 ** np.arange(-5, 5) / g  # -log of the survival power at each edge
     edges = np.where(t < 1.0, special.gammaincinv(b, -np.expm1(-t)),
                      special.gammainccinv(b, np.exp(-t)))
-    edges = np.concatenate(([0.0], edges))
-    return math.fsum(
-        _checked_quad(survival, lo, hi, abs_tol=0.0, rel_tol=1e-13,
-                      what=f"psi(gain={g}, users_per_group={b}) on [{lo:.4g}, {hi:.4g}]")
-        for lo, hi in zip(edges, edges[1:]))
+    return _gauss_kronrod(survival, np.concatenate(([0.0], edges)), rel_tol=1e-13,
+                          what=f"psi(gain={g}, users_per_group={b})")
 
 
 def acc_rate_low_snr(rho: float, users_per_group: int, gain: int) -> ApproxResult:
@@ -220,15 +215,15 @@ _H_TABLE_VALUES = {
 }
 
 
+#: Pieces of the H integral: its integrand peaks near -sqrt(2 ln gain), in
+#: [-4.3, -1.2] for gains 2 to 10^4, and is below 1e-300 outside [-40, 40].
+_H_EDGES = (-40.0, -12.0, -8.0, -6.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 40.0)
+
+
 def _h_integral(gain: int) -> float:
-    peak = -math.sqrt(2.0 * math.log(max(gain, 2)))
-
-    def integrand(y):
-        return y * math.exp((gain - 1) * cython_special.log_ndtr(-y) - 0.5 * y * y)
-
-    value = _checked_quad(integrand, -40.0, 40.0, points=[peak, 0.0], abs_tol=1e-13,
-                          rel_tol=1e-12, limit=500,
-                          what=f"expected-extreme integral (gain={gain})")
+    value = _gauss_kronrod(
+        lambda y: y * np.exp((gain - 1) * special.log_ndtr(-y) - 0.5 * y * y), _H_EDGES,
+        abs_tol=1e-13, rel_tol=1e-12, what=f"expected-extreme integral (gain={gain})")
     return -gain / math.sqrt(2.0 * math.pi) * value
 
 
@@ -239,10 +234,9 @@ def _h_ghq(gain: int, order: int) -> float:
     if gain == 1:
         return 0.0
     k = gain - 2
-    log_sqrt_2pi = 0.5 * math.log(2.0 * math.pi)
 
-    def mills(y):  # phi(y) / Phi(y)
-        return math.exp(-0.5 * y * y - log_sqrt_2pi - cython_special.log_ndtr(y))
+    def mills(y):  # phi(y) / Phi(y), for y >= 0 where Phi(y) >= 1/2
+        return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * y * y) / math.erfc(-y / math.sqrt(2.0))
 
     # the log-integrand's slope -2y + k*mills(y) is convex and decreasing,
     # so Newton from 0 (left of the mode) climbs to it monotonically
@@ -257,7 +251,8 @@ def _h_ghq(gain: int, order: int) -> float:
     scale = math.sqrt(2.0 / (2.0 + k * r * (mode + r)))
     y = mode + scale * nodes
     log_terms = nodes ** 2 - y * y + k * special.log_ndtr(y)
-    log_sum = special.logsumexp(log_terms, b=weights)
+    shift = float(log_terms.max())
+    log_sum = shift + math.log(float(weights @ np.exp(log_terms - shift)))
     return gain * (gain - 1) / (2.0 * math.pi) * scale * math.exp(log_sum)
 
 
@@ -276,9 +271,9 @@ def h_order_stat(gain: int, method: str = H_AUTO, ghq_order: int = 7) -> float:
     gain <= 20, 3.1e-4 at gain 100 and 2.0e-3 at gain 1e4; gains 1 and 2
     are exact. The asymptote is loose until gain is very large.
 
-    The integral's integrand and GHQ's mode search call log Phi through
-    `cython_special`, as psi calls the incomplete gamma functions, at the
-    same bits as the `special` ufunc.
+    The integral, written as the minimum's, is numerics._gauss_kronrod with
+    log Phi from `scipy.special.log_ndtr`. Its error bar is within 1e-12
+    relative or 1e-13 absolute, or NumericsError is raised.
     """
     gain = check_int(gain, "gain")
     if method not in H_METHODS:

@@ -3,10 +3,12 @@ expressions.
 
 Everything here is pure and reentrant: no shared mutable state, safe for
 concurrent use; the characteristic function's memo of the density lives
-only for one call. All adaptive quadratures carry an absolute tolerance budget
-(default ``QUAD_ABS_TOL``) and raise :class:`~cachecast.errors.NumericsError`
-with the achieved residual when the budget cannot be met; they never fail
-silently.
+only for one call. Every quadrature states its error budget and raises
+:class:`~cachecast.errors.NumericsError` with the achieved error bar when the
+budget cannot be met; none fails silently.
+
+The closed forms integrate with `_gauss_kronrod`, a few numpy calls per
+integral; only the characteristic function still calls QUADPACK.
 
 exp(a) E1(a) is exp(a) times scipy's exp1 below a = 700 and an asymptotic
 series above, where exp(a) overflows (past 709.78) and exp1 turns
@@ -23,21 +25,24 @@ from scipy import integrate, special
 
 from .errors import NumericsError, ParameterError, check_int, check_positive
 
-#: Default absolute-tolerance budget for adaptive quadratures.
+#: Default absolute-tolerance budget of the characteristic function.
 QUAD_ABS_TOL = 1e-10
+
+#: Relative budget of second_moment_log1p.
+SECOND_MOMENT_REL_TOL = 1e-13
 
 _MAX_GH_ORDER = 64
 
 
-def _checked_quad(func, a, b, *, weight=None, wvar=None, points=None,
-                  abs_tol=QUAD_ABS_TOL, rel_tol=1e-11, limit=300, what="integral"):
+def _checked_quad(func, a, b, *, weight, wvar, abs_tol, what):
     """scipy.integrate.quad with an explicit error budget.
 
     Returns the value; raises NumericsError when QUADPACK reports trouble
     and the achieved residual exceeds the budget by a wide margin.
     """
-    out = integrate.quad(func, a, b, weight=weight, wvar=wvar, points=points,
-                         epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1)
+    rel_tol, limit = 1e-11, 300
+    out = integrate.quad(func, a, b, weight=weight, wvar=wvar, epsabs=abs_tol,
+                         epsrel=rel_tol, limit=limit, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 and abserr > 100.0 * max(abs_tol, rel_tol * abs(value)):
         raise NumericsError(
@@ -46,6 +51,68 @@ def _checked_quad(func, a, b, *, weight=None, wvar=None, points=None,
     if not math.isfinite(value):
         raise NumericsError(f"{what} evaluated to a non-finite value")
     return value
+
+
+# QUADPACK's qk21 rule on [-1, 1] (Piessens et al. 1983): the nodes x >= 0 of
+# the 21-point Kronrod rule, its weights there, and the weights of the
+# embedded 10-point Gauss rule, whose nodes are the odd-indexed ones
+_K21_X = np.array((0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                   0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                   0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                   0.14887433898163122, 0.0))
+_K21_W = np.array((0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                   0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                   0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                   0.14773910490133849, 0.1494455540029169))
+_G10_W = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+          0.26926671930999635, 0.29552422471475287)
+_GK_NODES = np.concatenate((-_K21_X, _K21_X[-2::-1]))
+#: columns: the Kronrod weights, and those less the Gauss weights (K21 - G10)
+_GK_WEIGHTS = np.stack((_K21_W, _K21_W - np.insert(_G10_W, range(6), 0.0)), axis=1)
+_GK_WEIGHTS = np.concatenate((_GK_WEIGHTS, _GK_WEIGHTS[-2::-1]))
+
+#: Most pieces `_gauss_kronrod` splits an integral into.
+GK_MAX_PIECES = 1000
+
+
+def _gauss_kronrod(func, edges, *, abs_tol=0.0, rel_tol, what):
+    """Integral of the vectorized `func` over the pieces between `edges`.
+
+    A piece's value is its 21-point Kronrod sum, its error bar the distance
+    to the embedded 10-point Gauss sum, and `func` gets the (pieces, 21)
+    nodes of a round at once. Until the bars sum to at most max(abs_tol,
+    rel_tol |value|), each piece over an equal share of that is halved.
+    Raises NumericsError on a non-finite integrand or past GK_MAX_PIECES.
+    """
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * _GK_NODES
+        f = func(x)
+        bad = ~np.isfinite(f)
+        if bad.any():
+            raise NumericsError(f"{what}: the integrand is {f[bad][0]} at {x[bad][0]!r}")
+        sums = f @ _GK_WEIGHTS
+        return half * sums[:, 0], half * np.abs(sums[:, 1])
+
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    values, errors = rule(lo, hi)
+    while True:
+        value, bar = math.fsum(values), float(errors.sum())
+        budget = max(abs_tol, rel_tol * abs(value))
+        if bar <= budget:
+            return value
+        split = errors > budget / errors.size
+        kept = errors.size - np.count_nonzero(split)
+        if 2 * errors.size - kept > GK_MAX_PIECES:
+            raise NumericsError(
+                f"{what} did not meet its budget {budget:.1e} within {GK_MAX_PIECES} "
+                f"pieces: error bar {bar:.3e}")
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate((lo[~split], lo[split], mid))
+        hi = np.concatenate((hi[~split], mid, hi[split]))
+        new_values, new_errors = rule(lo[kept:], hi[kept:])
+        values = np.concatenate((values[~split], new_values))
+        errors = np.concatenate((errors[~split], new_errors))
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +211,18 @@ def log_char_moment(t: float, rho: float, *, abs_tol=QUAD_ABS_TOL) -> complex:
     return _char_fn([t], rho, abs_tol)[0]
 
 def second_moment_log1p(rho: float) -> float:
-    """E[(ln(1+SNR))^2] for SNR ~ Exp(mean rho).
+    """E[(ln(1+SNR))^2] for SNR ~ Exp(mean rho), rho in (0, 1e6].
 
-    Direct numerical evaluation of the moment integral; strictly positive
-    and at least the square of the mean.
+    The integral over s of ln(1 + rho s)^2 exp(-s) within
+    SECOND_MOMENT_REL_TOL relative, on pieces ending at powers of 4 times
+    min(1, 1/rho), where the log turns from linear, and at s = T = 50: by
+    the log's concavity the tail beyond T is at most 3e (T^2 + 2T + 2)
+    exp(-T), 4.1e-18, of the whole.
     """
     if check_positive(rho, "rho") > 1e6:
         raise ParameterError(f"rho must lie in (0, 1e6], got {rho}")
-
-    def integrand(s):
-        return math.log1p(rho * s) ** 2 * math.exp(-s)
-
-    return _checked_quad(integrand, 0.0, np.inf,
-                         what=f"second moment of ln(1+SNR) at rho={rho}")
-
+    edges = 4.0 ** np.arange(-1, 15) * min(1.0, 1.0 / rho)
+    edges = np.concatenate(([0.0], edges[edges < 50.0], [50.0]))
+    return _gauss_kronrod(lambda s: np.log1p(rho * s) ** 2 * np.exp(-s), edges,
+                          rel_tol=SECOND_MOMENT_REL_TOL,
+                          what=f"second moment of ln(1+SNR) at rho={rho}")

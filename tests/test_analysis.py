@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, interpolate, optimize, special
 
-from cachecast import analysis
+from cachecast import analysis, numerics
 from cachecast.analysis import (
     acc_over_mn_large_b,
     acc_over_mn_low_snr,
@@ -25,6 +25,7 @@ from cachecast.analysis import (
     std_log1p_snr,
 )
 from cachecast.errors import NumericsError, ParameterError
+from cachecast.numerics import second_moment_log1p
 from cachecast.rates import mc_average_rate
 from cachecast.system import Scheme, SystemConfig
 
@@ -236,9 +237,9 @@ def test_psi_matches_mpmath_on_large_shapes(gain, users):
     assert psi(gain, users) == pytest.approx(psi_mpmath_oracle(gain, users), rel=1e-13)
 
 
-def ufunc_psi(gain, users_per_group):
-    """psi with its survival integrand on the `special` ufuncs, given the
-    integer shape, and everything else as psi computes it."""
+def quadpack_psi(gain, users_per_group):
+    """psi's survival integral by QUADPACK on psi's pieces, each to 1e-13
+    relative, with the integrand on scalar `special` calls."""
     g, b = gain, users_per_group
 
     def survival(x):
@@ -248,14 +249,37 @@ def ufunc_psi(gain, users_per_group):
     t = 4.0 ** np.arange(-5, 5) / g
     edges = np.concatenate(([0.0], np.where(t < 1.0, special.gammaincinv(b, -np.expm1(-t)),
                                             special.gammainccinv(b, np.exp(-t)))))
-    return math.fsum(analysis._checked_quad(survival, lo, hi, abs_tol=0.0, rel_tol=1e-13)
+    return math.fsum(integrate.quad(survival, lo, hi, epsabs=0.0, epsrel=1e-13, limit=300)[0]
                      for lo, hi in zip(edges, edges[1:]))
 
 
-def test_psi_is_the_ufunc_integrand_byte_for_byte():
+def test_psi_is_within_its_budget_of_the_quadpack_integral():
     for gain in (1, 2, 3, 5, 10, 20, 100):
         for users in (1, 2, 3, 4, 6, 8, 16, 32, 64, 128):
-            assert psi(gain, users).hex() == ufunc_psi(gain, users).hex(), (gain, users)
+            assert psi(gain, users) == pytest.approx(quadpack_psi(gain, users), rel=1e-13), \
+                (gain, users)
+
+
+def test_closed_forms_never_reach_quadpack(monkeypatch):
+    class ReachedQuadpack(Exception):
+        pass
+
+    def quad(*args, **kwargs):
+        raise ReachedQuadpack
+
+    monkeypatch.setattr(numerics.integrate, "quad", quad)
+    assert psi(7, 9) > 0.0
+    assert h_order_stat(12, "integral") > h_order_stat(12, "ghq") - 1e-3
+    assert second_moment_log1p(3.0) > 0.0
+    for method in (analysis.H_AUTO, analysis.H_INTEGRAL, analysis.H_GHQ):
+        assert acc_rate_large_b(3.0, 8, 12, h_method=method).value > 0.0
+    assert acc_rate_low_snr(0.01, 5, 6).value > 0.0
+    assert acc_over_mn_low_snr(6, 5) > 1.0
+    # the characteristic function is the last caller of QUADPACK
+    with pytest.raises(ReachedQuadpack):
+        numerics.log_char_moment(1.0, 3.0)
+    with pytest.raises(ReachedQuadpack):
+        capacity_sum_cdf(1.0, 0.123456789, 2)  # a rho no other test tabulates
 
 
 def test_psi_rejects_bad_arguments():
@@ -356,10 +380,28 @@ def test_h_closed_form_table():
         2.5 * math.pi ** -1.5 * math.acos(-23 / 27), abs=1e-15)
 
 
+def h_integral_budget(gain):
+    """Absolute error H by `integral` may have: its integral's budget, 1e-12
+    relative or 1e-13 absolute, times gain/sqrt(2 pi)."""
+    return gain / math.sqrt(2.0 * math.pi) * 1e-13
+
+
 @pytest.mark.parametrize("gain", [1, 2, 3, 4, 5])
 def test_h_integral_matches_table(gain):
     assert h_order_stat(gain, "integral") == pytest.approx(
-        h_order_stat(gain, "table"), abs=1e-8)
+        h_order_stat(gain, "table"), rel=1e-12, abs=h_integral_budget(gain))
+
+
+@pytest.mark.parametrize("gain", [6, 10, 20, 100])
+def test_h_integral_matches_mpmath(gain):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        mode = mpmath.sqrt(2 * mpmath.log(gain))
+        expected = float(gain * mpmath.quad(
+            lambda y: y * mpmath.npdf(y) * mpmath.ncdf(y) ** (gain - 1),
+            [-mpmath.inf, 0, mode - 1, mode, mode + 1, mpmath.inf]))
+    assert h_order_stat(gain, "integral") == pytest.approx(
+        expected, rel=1e-12, abs=h_integral_budget(gain))
 
 
 def test_h_ghq_seven_nodes_is_close_for_small_gains():

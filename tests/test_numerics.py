@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special
 
-from cachecast.errors import ParameterError
+from cachecast import numerics
+from cachecast.errors import NumericsError, ParameterError
 from cachecast.numerics import (
+    SECOND_MOMENT_REL_TOL,
     exp_scaled_e1,
     gauss_hermite_rule,
     log_char_moment,
@@ -247,6 +249,20 @@ def test_second_moment_small_rho_asymptote():
     assert second_moment_log1p(rho) / (2 * rho * rho) == pytest.approx(1.0, abs=5e-3)
 
 
+@pytest.mark.parametrize("rho_db", [-40, -20, 0, 20, 40, 60])
+def test_second_moment_meets_its_relative_budget_against_mpmath(rho_db):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(10) ** (mpmath.mpf(rho_db) / 10)
+        # pieces at 1/rho times powers of 4, where the log turns
+        points = sorted({mpmath.mpf(0), *(4 ** k / rho for k in range(-3, 20)
+                                          if 4 ** k / rho < 200), mpmath.inf})
+        expected = float(mpmath.quad(lambda s: mpmath.log1p(rho * s) ** 2 * mpmath.exp(-s),
+                                     points))
+    value = second_moment_log1p(10.0 ** (rho_db / 10.0))
+    assert value == pytest.approx(expected, rel=SECOND_MOMENT_REL_TOL, abs=0.0)
+
+
 def test_second_moment_dual_quadrature_oracles_agree():
     direct, err1 = integrate.quad(
         lambda x: math.log1p(x) ** 2 * math.exp(-x), 0, np.inf, limit=200)
@@ -318,3 +334,61 @@ def test_survival_is_decreasing_in_x(shape, x, dx):
     lo = special.gammaincc(shape, x)
     assert hi <= lo + 1e-12
     assert 0.0 <= hi <= 1.0
+
+
+# ---------------------------------------------------------------- Gauss-Kronrod rule
+
+def gauss_kronrod_weights():
+    """(nodes, K21 weights, G10 weights) of the rule on [-1, 1]."""
+    kronrod, kronrod_less_gauss = numerics._GK_WEIGHTS.T
+    return numerics._GK_NODES, kronrod, kronrod - kronrod_less_gauss
+
+
+def test_gauss_kronrod_weights_sum_to_two():
+    nodes, kronrod, gauss = gauss_kronrod_weights()
+    assert nodes.shape == (21,) and np.all(np.diff(nodes) > 0)
+    assert math.fsum(kronrod) == pytest.approx(2.0, abs=1e-15)
+    assert math.fsum(gauss) == pytest.approx(2.0, abs=1e-15)
+    assert np.count_nonzero(gauss) == 10
+
+
+@pytest.mark.parametrize("rule,degree", [("kronrod", 31), ("gauss", 19)])
+def test_gauss_kronrod_rules_are_exact_to_their_degree(rule, degree):
+    nodes, kronrod, gauss = gauss_kronrod_weights()
+    weights = kronrod if rule == "kronrod" else gauss
+    for k in range(degree + 2):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        error = abs(math.fsum(weights * nodes ** k) - exact)
+        if k <= degree:
+            assert error < 1e-15, (rule, k)
+        else:  # the next even power is not integrated exactly
+            assert error > 1e-13, (rule, k)
+
+
+def test_gauss_kronrod_meets_its_budget_on_a_sharp_peak():
+    # 1/(eps + x^2) on [-1, 1], halved down to the peak's width
+    eps = 1e-4
+    value = numerics._gauss_kronrod(lambda x: 1.0 / (eps + x * x), [-1.0, 1.0],
+                                    rel_tol=1e-13, what="peak")
+    assert value == pytest.approx(2.0 / math.sqrt(eps) * math.atan(1.0 / math.sqrt(eps)),
+                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gauss_kronrod_rejects_a_non_finite_integrand(bad):
+    with pytest.raises(NumericsError, match=f"integrand is {bad}"):
+        numerics._gauss_kronrod(lambda x: np.where(x > 0.7, bad, x), [0.0, 0.5, 1.0],
+                                rel_tol=1e-13, what="nan")
+
+
+def test_gauss_kronrod_raises_at_its_piece_cap(monkeypatch):
+    # 1/x on [0, 1] diverges: every halving of the first piece adds as much
+    # again, so no number of pieces meets the budget
+    with pytest.raises(NumericsError, match=f"within {numerics.GK_MAX_PIECES} pieces"):
+        numerics._gauss_kronrod(lambda x: 1.0 / x, [0.0, 1.0], rel_tol=1e-13, what="1/x")
+    # sqrt on [0, 1] needs about 20 pieces to meet 1e-13, so not 10
+    assert numerics._gauss_kronrod(np.sqrt, [0.0, 1.0], rel_tol=1e-13,
+                                   what="sqrt") == pytest.approx(2.0 / 3.0, rel=1e-13)
+    monkeypatch.setattr(numerics, "GK_MAX_PIECES", 10)
+    with pytest.raises(NumericsError, match="within 10 pieces"):
+        numerics._gauss_kronrod(np.sqrt, [0.0, 1.0], rel_tol=1e-13, what="sqrt")
