@@ -16,7 +16,8 @@ within 1e-9 relative, or NumericsError is raised. On ln(1+SNR) it spans
 -40..60 dB in milliseconds.
 
 psi and the H integral are numerics._gauss_kronrod integrals of
-`scipy.special` ufuncs; only the inversion's table still calls QUADPACK.
+`scipy.special` ufuncs. The inversion's table takes its low frequencies
+from Gauss-Kronrod passes too; QUADPACK serves only its high frequencies.
 
 Conventions: rates are bits/s/Hz; `gain` is the nominal multicast size
 (number of simultaneously served groups); `users_per_group` is the number
@@ -298,7 +299,8 @@ def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
     with mu and sigma the mean and standard deviation of ln(1+SNR).
 
     Converges to (gain/ln 2) mu as the group size grows; accurate to a few
-    percent already around ten users per group.
+    percent already around ten users per group. Raises NumericsError where
+    the form is not a rate, mu - sigma H / sqrt(users_per_group) <= 0.
     """
     rho = check_positive(rho, "rho")
     b = check_int(users_per_group, "users_per_group", minimum=2)
@@ -306,8 +308,13 @@ def acc_rate_large_b(rho: float, users_per_group: int, gain: int,
     mu = mean_log1p_snr(rho)
     sigma = std_log1p_snr(rho)
     h = h_order_stat(gain, h_method)
-    value = gain / LN2 * (mu - sigma * h / math.sqrt(b))
-    return ApproxResult(value=value, method=LARGE_B_NORMAL)
+    margin = mu - sigma * h / math.sqrt(b)
+    if margin <= 0.0:
+        raise NumericsError(
+            f"the large-B normal form is not positive at rho={rho}, users_per_group={b}, "
+            f"gain={gain}: H/sqrt(b) >= mu/sigma ({h / math.sqrt(b):.4g} >= {mu / sigma:.4g}, "
+            f"H by {h_method})")
+    return ApproxResult(value=gain / LN2 * margin, method=LARGE_B_NORMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +472,20 @@ class _CharFnTable:
             arr.setflags(write=False)
 
     def phi(self, t: np.ndarray) -> np.ndarray:
-        return np.interp(t, self.t_grid, self.re) + 1j * np.interp(t, self.t_grid, self.im)
+        """phi at t by linear interpolation between the nodes, bit for bit
+        np.interp's: its values at nodes and ends, and between nodes its
+        slope (y[j+1] - y[j]) / (t[j+1] - t[j]) times (t - t[j]) plus y[j].
+        np.interp would copy the read-only grid and values on every call."""
+        grid = self.t_grid
+        t = np.clip(t, grid[0], grid[-1])
+        j = np.searchsorted(grid, t, side="right") - 1
+        at_node = grid[j] == t
+        k = np.minimum(j, grid.size - 2)
+        step, offset = grid[k + 1] - grid[k], t - grid[k]
+        out = np.empty(t.shape, dtype=complex)
+        for part, y in ((out.real, self.re), (out.imag, self.im)):
+            part[...] = np.where(at_node, y[j], (y[k + 1] - y[k]) / step * offset + y[k])
+        return out
 
 
 class _MinSumInversion:
@@ -476,10 +496,13 @@ class _MinSumInversion:
         self.b = users_per_group
         self.table = _cf_table(rho)
         # the tail [boundary, tmax] starts at the last node of the linear grid
-        self._t = self.table.t_grid[self.table.DENSE_LINEAR - 1:]
+        first = self.table.DENSE_LINEAR - 1
+        self._t = self.table.t_grid[first:]
         # phi^B/t at the tail's ends, its slopes there and its slope jumps
-        # at the inner nodes
-        f = self.table.phi(self._t) ** users_per_group
+        # at the inner nodes; phi at the table's nodes is its values there
+        f = np.empty(self._t.shape, dtype=complex)
+        f.real, f.imag = self.table.re[first:], self.table.im[first:]
+        f **= users_per_group
         f /= self._t
         slope = np.diff(f)
         slope /= np.diff(self._t)

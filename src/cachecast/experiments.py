@@ -33,7 +33,7 @@ from scipy import special
 
 from . import analysis
 from .errors import CachecastError, ParameterError, check_int
-from .rates import check_run, mc_average_rate, mc_average_rates, trial_rates
+from .rates import check_run, mc_average_rates, trial_rates
 from .scheduling import (
     acc_stage_timeline,
     enumerate_stages,
@@ -584,17 +584,16 @@ def validate_system(config: SystemConfig, num_trials: int = 100_000,
         add("placement-clique", float(missing), 0.0,
             f"{total} (stage, slot, peer) membership checks")
 
-    # Monte Carlo estimators vs closed forms
-    mc_tdm = mc_average_rate(config, Scheme.TDM, max(n, 10_000),
-                             _derived_seed(base_seed, 0, "validate-tdm"))
-    exact_tdm = analysis.exact_mn_rate(rho, 1).value
-    add("mc-tdm-vs-exact", abs(mc_tdm.mean - exact_tdm),
-        4.0 * mc_tdm.std_err * tol_scale, "4 standard errors")
-    mc_mn = mc_average_rate(config, Scheme.MN, max(n, 10_000),
-                            _derived_seed(base_seed, 0, "validate-mn"))
-    exact_mn = analysis.exact_mn_rate(rho, gain).value
-    add("mc-mn-vs-exact", abs(mc_mn.mean - exact_mn),
-        4.0 * mc_mn.std_err * tol_scale, "4 standard errors")
+    # Monte Carlo estimators vs exact rates, the three schemes from one draw
+    (mc,) = mc_average_rates(gain, b, [rho], (Scheme.TDM, Scheme.MN, Scheme.ACC),
+                             max(n, 10_000), _derived_seed(base_seed, 0, "validate-mc"))
+    for name, scheme, exact in (
+            ("mc-tdm-vs-exact", Scheme.TDM, analysis.exact_mn_rate(rho, 1)),
+            ("mc-mn-vs-exact", Scheme.MN, analysis.exact_mn_rate(rho, gain)),
+            ("mc-acc-vs-exact", Scheme.ACC, analysis.acc_rate_exact_integral(rho, b, gain))):
+        estimate = mc.rates[scheme]
+        add(name, abs(estimate.mean - exact.value), 4.0 * estimate.std_err * tol_scale,
+            "4 standard errors")
 
     # single-user-per-group reduction: aggregated and XOR metrics coincide
     if config.users_per_group == 1:

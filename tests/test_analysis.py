@@ -260,6 +260,49 @@ def test_psi_is_within_its_budget_of_the_quadpack_integral():
                 (gain, users)
 
 
+def scalar_gauss_kronrod(func, edges, *, abs_tol=0.0, rel_tol, what):
+    """numerics._gauss_kronrod as it was before it took integrands of several
+    components: the reference of its bits on scalar integrands."""
+    weights = numerics._GK_WEIGHTS
+
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        sums = func((lo + half)[:, None] + half[:, None] * numerics._GK_NODES) @ weights
+        return half * sums[:, 0], half * np.abs(sums[:, 1])
+
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    values, errors = rule(lo, hi)
+    while True:
+        value, bar = math.fsum(values), float(errors.sum())
+        budget = max(abs_tol, rel_tol * abs(value))
+        if bar <= budget:
+            return value
+        split = errors > budget / errors.size
+        kept = errors.size - np.count_nonzero(split)
+        assert 2 * errors.size - kept <= numerics.GK_MAX_PIECES, what
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate((lo[~split], lo[split], mid))
+        hi = np.concatenate((hi[~split], mid, hi[split]))
+        new_values, new_errors = rule(lo[kept:], hi[kept:])
+        values = np.concatenate((values[~split], new_values))
+        errors = np.concatenate((errors[~split], new_errors))
+
+
+def test_scalar_integrals_keep_the_scalar_rules_bits(monkeypatch):
+    def closed_forms():
+        return ([psi(gain, users) for gain in (1, 2, 3, 5, 10, 20, 100)
+                 for users in (1, 2, 3, 4, 6, 8, 16, 32, 64, 128)]
+                + [psi(gain, users) for gain, users in [(16, 16), (10, 32), (50, 50), (1000, 3),
+                                                        (10 ** 6, 2), (10 ** 8, 3)]]
+                + [h_order_stat(gain, "integral") for gain in (*range(2, 41), 100, 1000, 10 ** 4)]
+                + [second_moment_log1p(10.0 ** (db / 10.0)) for db in range(-60, 61, 5)])
+
+    values = closed_forms()
+    monkeypatch.setattr(numerics, "_gauss_kronrod", scalar_gauss_kronrod)
+    monkeypatch.setattr(analysis, "_gauss_kronrod", scalar_gauss_kronrod)
+    assert [v.hex() for v in values] == [v.hex() for v in closed_forms()]
+
+
 def test_closed_forms_never_reach_quadpack(monkeypatch):
     class ReachedQuadpack(Exception):
         pass
@@ -275,9 +318,12 @@ def test_closed_forms_never_reach_quadpack(monkeypatch):
         assert acc_rate_large_b(3.0, 8, 12, h_method=method).value > 0.0
     assert acc_rate_low_snr(0.01, 5, 6).value > 0.0
     assert acc_over_mn_low_snr(6, 5) > 1.0
-    # the characteristic function is the last caller of QUADPACK
+    # the characteristic function's low frequencies are Gauss-Kronrod passes
+    # too; it calls QUADPACK only above CF_GK_MAX_CYCLES cycles over its range
+    assert abs(numerics.log_char_moment(1.0, 3.0)) < 1.0
+    above = 2.0 * math.pi * 1.5 * numerics.CF_GK_MAX_CYCLES / math.log1p(760.0 * 3.0)
     with pytest.raises(ReachedQuadpack):
-        numerics.log_char_moment(1.0, 3.0)
+        numerics.log_char_moment(above, 3.0)
     with pytest.raises(ReachedQuadpack):
         capacity_sum_cdf(1.0, 0.123456789, 2)  # a rho no other test tabulates
 
@@ -468,6 +514,15 @@ def test_large_b_default_h_matches_the_integral(gain):
     assert abs(auto - reference) <= tol
 
 
+def test_large_b_rate_that_is_not_positive_is_an_error():
+    # at fig8's b = 2, gain 10 and 0 dB the asymptotic H = sqrt(2 ln 10) =
+    # 2.146 exceeds sqrt(2) mu/sigma, so mu - sigma H/sqrt(2) < 0
+    with pytest.raises(NumericsError, match=r"H/sqrt\(b\) >= mu/sigma"):
+        acc_rate_large_b(1.0, 2, 10, h_method="asymptotic")
+    assert acc_rate_large_b(1.0, 3, 10, h_method="asymptotic").value > 0.0
+    assert acc_rate_large_b(1.0, 2, 10, h_method="integral").value > 0.0
+
+
 def test_large_b_rate_requires_two_users():
     with pytest.raises(ParameterError):
         acc_rate_large_b(1.0, 1, 4)
@@ -635,9 +690,10 @@ def test_exact_integral_consistent_with_large_b_form():
 
 # ---------------------------------------------------------------- inversion table and tail
 
-def closure_char_fn_table(table):
-    """(re, im) of `table` rebuilt with one closure density per frequency
-    and no memo, as every node was computed before the memo."""
+def closure_char_fn_nodes(table):
+    """(nodes, values) of `table`'s sparse nodes by QUADPACK, with one
+    closure density per frequency and no memo, as every node was computed
+    before the memo and the Gauss-Kronrod passes."""
     rho, boundary, tmax = table.rho, table.boundary, table.tmax
     sparse = np.concatenate([np.linspace(0.0, boundary, table.SPARSE_LINEAR),
                              np.geomspace(boundary, tmax, table.SPARSE_LOG)[1:]])
@@ -652,16 +708,48 @@ def closure_char_fn_table(table):
                                 epsrel=1e-11, limit=300, full_output=1)[0]
                  for weight in ("cos", "sin")]
         values[i] = complex(*parts)
-    return (interpolate.CubicSpline(sparse, values.real)(table.t_grid),
-            interpolate.CubicSpline(sparse, values.imag)(table.t_grid))
+    return sparse, values
 
 
 @pytest.mark.parametrize("rho", [0.3, 7.0])
-def test_char_fn_table_is_the_closure_density_rebuild_byte_for_byte(rho):
+def test_char_fn_table_is_the_closure_density_rebuild_within_its_budget(rho):
+    # the table's nodes above the crossover are still QAWO's, bit for bit
+    # with one closure density per frequency; those below, the Gauss-Kronrod
+    # passes', are within the 1e-11 budget of them, and so is the splined
+    # table within that budget of the spline of the closure values
     table = analysis._CharFnTable(rho)
-    re, im = closure_char_fn_table(table)
-    assert table.re.tobytes() == re.tobytes()
-    assert table.im.tobytes() == im.tobytes()
+    sparse, reference = closure_char_fn_nodes(table)
+    values = np.array([1.0] + numerics._char_fn(sparse[1:], rho, abs_tol=1e-11))
+    above = sparse * math.log1p(760.0 * rho) / (2.0 * math.pi) > numerics.CF_GK_MAX_CYCLES
+    assert 0 < np.count_nonzero(above) < sparse.size
+    assert values[above].tobytes() == reference[above].tobytes()
+    assert np.max(np.abs(values.real - reference.real)) <= 1e-11
+    assert np.max(np.abs(values.imag - reference.imag)) <= 1e-11
+    for dense, part in ((table.re, reference.real), (table.im, reference.imag)):
+        assert np.max(np.abs(dense - interpolate.CubicSpline(sparse, part)(table.t_grid))) <= 1e-11
+
+
+def test_char_fn_table_lookup_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(29)
+    # a table, and tables of random nodes and values, where a slope's step
+    # from the last but one node often rounds off the last value
+    tables = [analysis._cf_table(0.3)]
+    for _ in range(8):
+        tables.append(object.__new__(analysis._CharFnTable))
+        tables[-1].t_grid = np.cumsum(rng.uniform(0.01, 1.0, 50))
+        tables[-1].re, tables[-1].im = rng.standard_normal((2, 50))
+    for table in tables:
+        grid = table.t_grid
+        t = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]),  # nodes and midpoints
+                            rng.uniform(grid[0], grid[len(grid) // 10], 4096),
+                            rng.uniform(grid[0], 1.1 * grid[-1], 4096),
+                            [-1.0, -0.0, 0.0, np.nextafter(grid[0], 1.0),
+                             np.nextafter(grid[-1], 0.0), 2.0 * grid[-1]]])  # at and past both ends
+        value = table.phi(t)
+        assert value.real.tobytes() == np.interp(t, grid, table.re).tobytes()
+        assert value.imag.tobytes() == np.interp(t, grid, table.im).tobytes()
+    table = analysis._cf_table(0.3)
+    assert not any(array.flags.writeable for array in (table.t_grid, table.re, table.im))
 
 
 def piecewise_tail_survival(inv, y):

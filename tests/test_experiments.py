@@ -488,11 +488,16 @@ def test_fig8_rows_evaluate_large_b_under_each_h_method():
             continue
         method = row.scheme[len("large-b-normal[h="):-1]
         assert method in methods
+        checked += 1
+        if (method, row.swept) == (analysis.H_ASYMPTOTIC, 2.0):
+            # the loose asymptotic H makes the form negative at b = 2
+            assert row.error.startswith("NumericsError: the large-B normal form is not positive")
+            assert row.rate_mean is None and row.gain is None
+            continue
         rate = analysis.acc_rate_large_b(1.0, int(row.swept), 10, h_method=method).value
         assert row.error is None
         assert row.rate_mean == rate
         assert row.gain == rate / tdm
-        checked += 1
     assert checked == 3 * 10
 
 
@@ -575,7 +580,7 @@ def test_default_validation_passes():
     assert report.passed, f"failed checks: {failed}"
     names = {check.name for check in report.checks}
     assert "placement-clique" in names
-    assert "mc-tdm-vs-exact" in names
+    assert {"mc-tdm-vs-exact", "mc-mn-vs-exact", "mc-acc-vs-exact"} <= names
 
 
 def test_ks_checks_report_their_p_value():

@@ -234,6 +234,37 @@ def test_cf_matches_complex_order_exponential_integral():
         assert log_char_moment(t, rho) == pytest.approx(reference, abs=1e-10)
 
 
+def quadpack_char_fn(t, rho, abs_tol):
+    """The characteristic function at t by QUADPACK's QAWO on a closure
+    density, as every frequency was computed before the Gauss-Kronrod
+    passes."""
+    ymax = math.log1p(760.0 * rho)
+
+    def density(y):
+        return math.exp(y - math.expm1(y) / rho) / rho
+
+    re, im = (integrate.quad(density, 0.0, ymax, weight=weight, wvar=abs(t), epsabs=abs_tol,
+                             epsrel=1e-11, limit=300, full_output=1)[0]
+              for weight in ("cos", "sin"))
+    return complex(re, im if t > 0 else -im)
+
+
+@pytest.mark.parametrize("rho_db", [-40.0, -4.0, 4.0, 20.0, 60.0])
+def test_cf_is_within_its_budget_of_quadpack_across_the_crossover(rho_db):
+    rho, abs_tol = 10 ** (rho_db / 10), 1e-11
+    cycle = 2.0 * math.pi / math.log1p(760.0 * rho)  # t of one cycle over the range
+    crossover = numerics.CF_GK_MAX_CYCLES * cycle
+    ts = np.array([0.01, 0.3, 0.7, 0.99, 1.0, 1.01, 1.5, 3.0]) * crossover
+    ts = np.concatenate((ts, -ts[[1, 6]], [0.2 * cycle, 3.0 * cycle]))
+    for t, value in zip(ts, numerics._char_fn(ts, rho, abs_tol)):
+        reference = quadpack_char_fn(t, rho, abs_tol)
+        if abs(t) > crossover:  # QAWO still, to its bits
+            assert value == reference, t
+        else:
+            assert abs(value.real - reference.real) <= abs_tol, t
+            assert abs(value.imag - reference.imag) <= abs_tol, t
+
+
 def test_cf_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         log_char_moment(1.0, 0.0)
@@ -376,9 +407,32 @@ def test_gauss_kronrod_meets_its_budget_on_a_sharp_peak():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gauss_kronrod_rejects_a_non_finite_integrand(bad):
-    with pytest.raises(NumericsError, match=f"integrand is {bad}"):
-        numerics._gauss_kronrod(lambda x: np.where(x > 0.7, bad, x), [0.0, 0.5, 1.0],
-                                rel_tol=1e-13, what="nan")
+    def scalar(x):
+        return np.where(x > 0.7, bad, x)
+
+    def components(x):  # a bad middle one of three, the others finite
+        return np.stack((x, scalar(x), x * x), axis=-1)
+
+    for func in (scalar, components):
+        with pytest.raises(NumericsError, match=f"integrand is {bad}"):
+            numerics._gauss_kronrod(func, [0.0, 0.5, 1.0], rel_tol=1e-13, what="nan")
+
+
+def test_gauss_kronrod_holds_each_component_to_its_own_budget():
+    # exp, a fast cosine and a sine whose integral is 0, so abs_tol rules it
+    exact = np.array([math.e - 1.0, math.sin(40.0) / 40.0, 0.0])
+    abs_tol, rel_tol = 1e-15, 1e-13
+    value = numerics._gauss_kronrod(
+        lambda x: np.stack((np.exp(x), np.cos(40.0 * x), np.sin(2.0 * math.pi * x)), axis=-1),
+        [0.0, 1.0], abs_tol=abs_tol, rel_tol=rel_tol, what="three")
+    assert value.shape == (3,)
+    assert np.all(np.abs(value - exact) <= np.maximum(abs_tol, rel_tol * np.abs(exact)))
+    # each component is also what a scalar call gives it, within both budgets
+    for k, f in enumerate((np.exp, lambda x: np.cos(40.0 * x))):
+        alone = numerics._gauss_kronrod(f, [0.0, 1.0], abs_tol=abs_tol, rel_tol=rel_tol,
+                                        what="one")
+        assert isinstance(alone, float)
+        assert abs(value[k] - alone) <= 2.0 * rel_tol * abs(alone)
 
 
 def test_gauss_kronrod_raises_at_its_piece_cap(monkeypatch):
@@ -392,3 +446,9 @@ def test_gauss_kronrod_raises_at_its_piece_cap(monkeypatch):
     monkeypatch.setattr(numerics, "GK_MAX_PIECES", 10)
     with pytest.raises(NumericsError, match="within 10 pieces"):
         numerics._gauss_kronrod(np.sqrt, [0.0, 1.0], rel_tol=1e-13, what="sqrt")
+    # with components, the one that needs the pieces sets the cap
+    assert numerics._gauss_kronrod(lambda x: np.stack((x, x * x), axis=-1), [0.0, 1.0],
+                                   rel_tol=1e-13, what="x, x^2") == pytest.approx([0.5, 1 / 3])
+    with pytest.raises(NumericsError, match="within 10 pieces: error bar"):
+        numerics._gauss_kronrod(lambda x: np.stack((x, np.sqrt(x)), axis=-1), [0.0, 1.0],
+                                rel_tol=1e-13, what="x, sqrt")
