@@ -15,9 +15,16 @@ and Richardson extrapolation over halvings of h brings the error bar
 within 1e-9 relative, or NumericsError is raised. On ln(1+SNR) it spans
 -40..60 dB in milliseconds.
 
+`capacity_sum_cdf` inverts the group sum's characteristic function
+phi^b (Gil-Pelaez). phi is one complex cubic spline through 1,319 nodes:
+Gauss-Legendre reads the spline itself below a boundary frequency, and
+above it the integral of the spline's linear resample on a geometric grid
+is taken exactly. Its budget is 1e-8 absolute; the tests check it against
+a two-user convolution and a lattice.
+
 psi and the H integral are numerics._gauss_kronrod integrals of
-`scipy.special` ufuncs. The inversion's table takes its low frequencies
-from Gauss-Kronrod passes too; QUADPACK serves only its high frequencies.
+`scipy.special` ufuncs. The spline's low-frequency nodes come from
+Gauss-Kronrod passes too; QUADPACK serves only its high frequencies.
 
 Conventions: rates are bits/s/Hz; `gain` is the nominal multicast size
 (number of simultaneously served groups); `users_per_group` is the number
@@ -429,21 +436,21 @@ _CDF_TAIL_TOL = 1e-8
 
 
 class _CharFnTable:
-    """Dense tabulation of the single-user characteristic function
+    """The single-user characteristic function
     phi(t) = E exp(jt ln(1+SNR)) on [0, tmax] for one rho.
 
-    Sparse nodes are evaluated by adaptive quadrature, splined, and
-    resampled onto dense grids so later lookups are cheap linear
-    interpolation. Integration by parts bounds |phi(t)| by
-    (f(0) + TV(f))/t with f the density of ln(1+SNR), whose total
-    variation is 2/rho below unit SNR and ~2/e above it; that envelope
-    fixes the truncation point tmax needed for a CDF error of
-    _CDF_TAIL_TOL even in the slowest-decaying two-user case.
+    Sparse nodes are evaluated by numerics._char_fn and joined by one
+    complex cubic spline, `phi`. The spline is resampled onto a dense
+    geometric grid of the tail [boundary, tmax], `t_tail` and `phi_tail`,
+    which the inversion integrates as linear between those nodes.
+    Integration by parts bounds |phi(t)| by (f(0) + TV(f))/t with f the
+    density of ln(1+SNR), whose total variation is 2/rho below unit SNR and
+    ~2/e above it; that envelope fixes the truncation point tmax needed for
+    a CDF error of _CDF_TAIL_TOL even in the slowest-decaying two-user case.
     """
 
     SPARSE_LINEAR = 420
     SPARSE_LOG = 900
-    DENSE_LINEAR = 6000
     DENSE_LOG = 60000
 
     def __init__(self, rho: float):
@@ -460,32 +467,11 @@ class _CharFnTable:
             np.geomspace(self.boundary, self.tmax, self.SPARSE_LOG)[1:],
         ])
         values = np.array([1.0] + _char_fn(sparse[1:], rho, abs_tol=1e-11))
-        spline_re = interpolate.CubicSpline(sparse, values.real)
-        spline_im = interpolate.CubicSpline(sparse, values.imag)
-        self.t_grid = np.concatenate([
-            np.linspace(0.0, self.boundary, self.DENSE_LINEAR),
-            np.geomspace(self.boundary, self.tmax, self.DENSE_LOG)[1:],
-        ])
-        self.re = spline_re(self.t_grid)
-        self.im = spline_im(self.t_grid)
-        for arr in (self.t_grid, self.re, self.im):
+        self.phi = interpolate.CubicSpline(sparse, values)
+        self.t_tail = np.geomspace(self.boundary, self.tmax, self.DENSE_LOG)
+        self.phi_tail = self.phi(self.t_tail)
+        for arr in (self.phi.x, self.phi.c, self.t_tail, self.phi_tail):
             arr.setflags(write=False)
-
-    def phi(self, t: np.ndarray) -> np.ndarray:
-        """phi at t by linear interpolation between the nodes, bit for bit
-        np.interp's: its values at nodes and ends, and between nodes its
-        slope (y[j+1] - y[j]) / (t[j+1] - t[j]) times (t - t[j]) plus y[j].
-        np.interp would copy the read-only grid and values on every call."""
-        grid = self.t_grid
-        t = np.clip(t, grid[0], grid[-1])
-        j = np.searchsorted(grid, t, side="right") - 1
-        at_node = grid[j] == t
-        k = np.minimum(j, grid.size - 2)
-        step, offset = grid[k + 1] - grid[k], t - grid[k]
-        out = np.empty(t.shape, dtype=complex)
-        for part, y in ((out.real, self.re), (out.imag, self.im)):
-            part[...] = np.where(at_node, y[j], (y[k + 1] - y[k]) / step * offset + y[k])
-        return out
 
 
 class _MinSumInversion:
@@ -495,26 +481,24 @@ class _MinSumInversion:
     def __init__(self, rho: float, users_per_group: int):
         self.b = users_per_group
         self.table = _cf_table(rho)
-        # the tail [boundary, tmax] starts at the last node of the linear grid
-        first = self.table.DENSE_LINEAR - 1
-        self._t = self.table.t_grid[first:]
+        self._t = self.table.t_tail
         # phi^B/t at the tail's ends, its slopes there and its slope jumps
-        # at the inner nodes; phi at the table's nodes is its values there
-        f = np.empty(self._t.shape, dtype=complex)
-        f.real, f.imag = self.table.re[first:], self.table.im[first:]
-        f **= users_per_group
+        # at the inner nodes
+        f = self.table.phi_tail ** users_per_group
         f /= self._t
         slope = np.diff(f)
         slope /= np.diff(self._t)
         self._ends, self._end_slopes = f[[0, -1]], slope[[0, -1]]
+        del f  # before the jumps, so the build never holds f, slope and jumps at once
         self._jumps = np.diff(slope)
         for arr in (self._ends, self._end_slopes, self._jumps):
             arr.setflags(write=False)
 
     def survival(self, y: float) -> float:
         """P(S > y) = 1/2 + (1/pi) * integral of Im{e^{-jty} phi^B}/t dt to
-        tmax: Gauss-Legendre on [0, boundary], and beyond it the exact
-        integral of phi^B/t interpolated linearly between the table's nodes."""
+        tmax: Gauss-Legendre on the spline over [0, boundary], and beyond it
+        the exact integral of phi^B/t interpolated linearly between the
+        tail's nodes."""
         if y <= 0:
             return 1.0
         table = self.table
@@ -560,7 +544,13 @@ _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 def capacity_sum_cdf(y: float, rho: float, users_per_group: int) -> float:
     """CDF of the per-group sum of ln(1+SNR) over `users_per_group` i.i.d.
-    Rayleigh-faded links, by characteristic-function inversion."""
+    Rayleigh-faded links, by characteristic-function inversion.
+
+    Error budget: 1e-8 absolute. Nothing raises when it is missed, as it
+    is at 30 dB with twelve users per group (1.3e-8 at 1.1 times the mean
+    sum). The tests hold it from -30 to 30 dB at two users per group and
+    at 10 and 20 dB with three and six.
+    """
     rho = check_positive(rho, "rho")
     b = check_int(users_per_group, "users_per_group", minimum=2)
     if y <= 0:

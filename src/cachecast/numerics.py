@@ -28,7 +28,7 @@ from scipy import integrate, special
 
 from .errors import NumericsError, ParameterError, check_int, check_positive
 
-#: Default absolute-tolerance budget of the characteristic function.
+#: Absolute budget of log_char_moment.
 QUAD_ABS_TOL = 1e-10
 
 #: Relative budget of second_moment_log1p.
@@ -264,14 +264,14 @@ def _char_fn(ts, rho, abs_tol):
     return values.tolist()
 
 
-def log_char_moment(t: float, rho: float, *, abs_tol=QUAD_ABS_TOL) -> complex:
+def log_char_moment(t: float, rho: float) -> complex:
     """E[(1+SNR)^{jt}] for SNR ~ Exp(mean rho), i.e. the characteristic
     function of ln(1+SNR) at frequency t.
 
     Evaluated as the oscillatory integral of exp(jty) against the density
     of Y = ln(1+SNR), which avoids a complex-order exponential integral: by
     _gauss_kronrod up to CF_GK_MAX_CYCLES cycles over the density's range,
-    by QUADPACK's QAWO above, within abs_tol or 1e-11 relative.
+    by QUADPACK's QAWO above, within QUAD_ABS_TOL = 1e-10 or 1e-11 relative.
     Satisfies |value| <= 1, value(0) = 1 exactly, and conjugate symmetry
     in t.
     """
@@ -280,7 +280,7 @@ def log_char_moment(t: float, rho: float, *, abs_tol=QUAD_ABS_TOL) -> complex:
         raise ParameterError(f"t must be finite, got {t}")
     if t == 0.0:
         return complex(1.0, 0.0)
-    return _char_fn([t], rho, abs_tol)[0]
+    return _char_fn([t], rho, QUAD_ABS_TOL)[0]
 
 def second_moment_log1p(rho: float) -> float:
     """E[(ln(1+SNR))^2] for SNR ~ Exp(mean rho), rho in (0, 1e6].

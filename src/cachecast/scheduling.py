@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, UnboundedDelayError, check_positive
-from .system import Scheme, SnrMatrix, SystemConfig
+from .system import Scheme, SnrMatrix, SystemConfig, _real_array
 
 @dataclass(frozen=True, order=True)
 class SubfileId:
@@ -171,11 +171,6 @@ def acc_stage_timeline(stage: Sequence[int], snr, subfile_size: float) -> Delive
                             completion_time=events[-1].time if events else 0.0)
 
 
-def acc_stage_completion_closed_form(stage, snr, subfile_size: float) -> float:
-    """Per-group serial service times summed, maximized over the stage."""
-    return max(row[-1] for row in _finish_times(stage, snr, subfile_size))
-
-
 def mn_stage_delay(group_user_snrs: Sequence[float], xor_size: float) -> float:
     """Duration of one XOR multicast: the worst served user sets the pace."""
     # iterating rejects a scalar, and float() a nested row or a non-number;
@@ -204,16 +199,6 @@ def _xor_rate(worst: float) -> float:
     return rate
 
 
-def validate_demands(config: SystemConfig, demands: Sequence[int]) -> tuple:
-    demands = tuple(int(d) for d in demands)
-    if len(demands) != config.num_users:
-        raise ParameterError(
-            f"expected {config.num_users} demands, got {len(demands)}")
-    if any(not 0 <= d < config.library_size for d in demands):
-        raise ParameterError("demand indices must lie in [0, library_size)")
-    return demands
-
-
 def _realizations(config: SystemConfig, snr_per_stage: Sequence, count: int,
                   kind: str) -> np.ndarray:
     """The session's realizations stacked into one (count, cache states,
@@ -222,11 +207,8 @@ def _realizations(config: SystemConfig, snr_per_stage: Sequence, count: int,
         raise ParameterError(
             f"{kind} session needs {count} realizations, got {len(snr_per_stage)}")
     shape = (count, config.num_cache_states, config.users_per_group)
-    try:
-        mats = np.array([snr.snr if isinstance(snr, SnrMatrix) else snr
-                         for snr in snr_per_stage], dtype=float)
-    except (TypeError, ValueError):
-        mats = None
+    mats = _real_array([snr.snr if isinstance(snr, SnrMatrix) else snr
+                        for snr in snr_per_stage])
     if mats is None or mats.shape != shape:
         raise ParameterError(f"{kind} session realizations must stack to shape {shape}")
     # numpy's min and max propagate NaN, which then fails both comparisons
@@ -247,12 +229,19 @@ def full_session_delay(config: SystemConfig, demands: Sequence[int],
     group member, serving member r of every group in round r.
 
     Every stage's duration comes from one array pass over the stacked
-    realizations, with the arithmetic of acc_stage_completion_closed_form
-    or mn_stage_delay on that stage alone, and the durations are added in
-    stage order, so the total has the bits of the stage-by-stage sum.
+    realizations: for ACC the largest over its groups of the running sums
+    of subfile_size / rate, added as _finish_times adds them, and for XOR
+    the arithmetic of mn_stage_delay on that stage alone. The durations are
+    added in stage order, so the total has the bits of the stage-by-stage
+    sum.
     """
     scheme = Scheme.parse(scheme)
-    validate_demands(config, demands)
+    demands = [int(d) for d in demands]
+    if len(demands) != config.num_users:
+        raise ParameterError(
+            f"expected {config.num_users} demands, got {len(demands)}")
+    if any(not 0 <= d < config.library_size for d in demands):
+        raise ParameterError("demand indices must lie in [0, library_size)")
     stages = enumerate_stages(config)
     n = len(stages)
     subfile_size = 1.0 / math.comb(config.num_cache_states, config.cache_subset_size)

@@ -149,6 +149,17 @@ def substream(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _real_array(values) -> np.ndarray | None:
+    """`values` as a float64 array (`values` itself where it is one), or
+    None where they are ragged, not numbers, or complex, whose cast would
+    drop the imaginary part."""
+    try:
+        arr = np.asarray(values)
+        return None if arr.dtype.kind == "c" else arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        return None
+
+
 @dataclass(frozen=True)
 class SnrMatrix:
     """One channel realization: instantaneous SNR per (group, user)."""
@@ -156,7 +167,9 @@ class SnrMatrix:
     snr: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.snr, dtype=float)
+        arr = _real_array(self.snr)
+        if arr is None:
+            raise ParameterError("snr must be an array of real numbers")
         if arr.ndim != 2:
             raise ParameterError(f"snr must be a 2-D array, got shape {arr.shape}")
         # numpy's min and max propagate NaN, which then fails both comparisons

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, interpolate, optimize, special
+from scipy import fft, integrate, interpolate, optimize, special
 
 from cachecast import analysis, numerics
 from cachecast.analysis import (
@@ -652,19 +652,54 @@ def test_lattice_takes_any_cell_cdf(gain):
     assert abs(value - (-np.euler_gamma - math.log(gain))) <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the inversion misses its 1e-8 "
-                                       "CDF budget at two users per group (3.3e-8 here)")
 def test_capacity_sum_cdf_meets_its_budget_at_two_users_per_group():
     # 8 dB, two standard deviations below the mean of the group sum
     rho, y = 10 ** 0.8, 0.989
     assert abs(capacity_sum_cdf(y, rho, 2) - log1p_snr_sum_cdf_two_users(y, rho)) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: in the far lower tail at high SNR "
-                                       "the inversion returns 4.6e-7 above a 2.5e-9 bound")
 def test_capacity_sum_cdf_respects_the_chernoff_bound_at_high_snr():
     rho, b, y = 100.0, 6, 4.15
     assert capacity_sum_cdf(y, rho, b) <= log1p_snr_sum_chernoff_bound(y, rho, b) + 1e-8
+
+
+def lattice_sum_cdf(y, rho, users_per_group):
+    """(P(X1 + ... + Xb <= y), error bar) as E[F(y - S)], F the CDF of one
+    X = ln(1+SNR) and S the sum of b - 1 of them, each moved to the middle
+    of its lattice cell, mass above log1p(40 rho) (e^-40) dropped. The step
+    h divides y, so F's kink at 0 sits at the same place in its cell at
+    every step, and the O(h^2) error of m(h) goes to the Richardson values
+    (4 m(h/2) - m(h))/3 at h = y/1024 and y/2048; their gap is the error bar."""
+    def cdf(v):
+        return -np.expm1(-np.expm1(np.maximum(v, 0.0)) / rho) * (v > 0.0)
+
+    def midpoint(h):
+        cells = math.ceil(math.log1p(40.0 * rho) / h)
+        mass = np.diff(cdf(h * np.arange(cells + 1)))
+        parts = users_per_group - 1
+        size = fft.next_fast_len(parts * cells, real=True)
+        pmf = fft.irfft(fft.rfft(mass, size) ** parts, size)[:parts * (cells - 1) + 1]
+        return math.fsum(pmf * cdf(y - h * (np.arange(pmf.size) + parts / 2)))
+
+    m = [midpoint(y / n) for n in (1024, 2048, 4096)]
+    r1, r2 = (4.0 * m[1] - m[0]) / 3.0, (4.0 * m[2] - m[1]) / 3.0
+    return r2, abs(r2 - r1)
+
+
+@pytest.mark.parametrize("rho_db, b", [(v, 2) for v in (-30.0, -10.0, 0.0, 10.0, 20.0, 30.0)]
+                         + [(v, b) for b in (3, 6) for v in (10.0, 20.0)])
+def test_capacity_sum_cdf_meets_its_budget_against_two_references(rho_db, b):
+    # the two-user convolution at b = 2 and the lattice above it, from 0.3
+    # to 2 times the mean group sum
+    rho = 10.0 ** (rho_db / 10.0)
+    for multiple in (0.3, 0.6, 0.9, 1.2, 1.6, 2.0):
+        y = multiple * b * mean_log1p_snr(rho)
+        if b == 2:
+            reference = log1p_snr_sum_cdf_two_users(y, rho)
+        else:
+            reference, error_bar = lattice_sum_cdf(y, rho, b)
+            assert error_bar < 1e-10, (multiple, error_bar)
+        assert abs(capacity_sum_cdf(y, rho, b) - reference) <= 1e-8, multiple
 
 
 def test_exact_integral_agrees_with_monte_carlo():
@@ -715,8 +750,8 @@ def closure_char_fn_nodes(table):
 def test_char_fn_table_is_the_closure_density_rebuild_within_its_budget(rho):
     # the table's nodes above the crossover are still QAWO's, bit for bit
     # with one closure density per frequency; those below, the Gauss-Kronrod
-    # passes', are within the 1e-11 budget of them, and so is the splined
-    # table within that budget of the spline of the closure values
+    # passes', are within the 1e-11 budget of them, and so are the table's
+    # spline and its tail within that budget of the spline of the closure values
     table = analysis._CharFnTable(rho)
     sparse, reference = closure_char_fn_nodes(table)
     values = np.array([1.0] + numerics._char_fn(sparse[1:], rho, abs_tol=1e-11))
@@ -725,31 +760,13 @@ def test_char_fn_table_is_the_closure_density_rebuild_within_its_budget(rho):
     assert values[above].tobytes() == reference[above].tobytes()
     assert np.max(np.abs(values.real - reference.real)) <= 1e-11
     assert np.max(np.abs(values.imag - reference.imag)) <= 1e-11
-    for dense, part in ((table.re, reference.real), (table.im, reference.imag)):
-        assert np.max(np.abs(dense - interpolate.CubicSpline(sparse, part)(table.t_grid))) <= 1e-11
-
-
-def test_char_fn_table_lookup_is_np_interp_bit_for_bit():
-    rng = np.random.default_rng(29)
-    # a table, and tables of random nodes and values, where a slope's step
-    # from the last but one node often rounds off the last value
-    tables = [analysis._cf_table(0.3)]
-    for _ in range(8):
-        tables.append(object.__new__(analysis._CharFnTable))
-        tables[-1].t_grid = np.cumsum(rng.uniform(0.01, 1.0, 50))
-        tables[-1].re, tables[-1].im = rng.standard_normal((2, 50))
-    for table in tables:
-        grid = table.t_grid
-        t = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]),  # nodes and midpoints
-                            rng.uniform(grid[0], grid[len(grid) // 10], 4096),
-                            rng.uniform(grid[0], 1.1 * grid[-1], 4096),
-                            [-1.0, -0.0, 0.0, np.nextafter(grid[0], 1.0),
-                             np.nextafter(grid[-1], 0.0), 2.0 * grid[-1]]])  # at and past both ends
-        value = table.phi(t)
-        assert value.real.tobytes() == np.interp(t, grid, table.re).tobytes()
-        assert value.imag.tobytes() == np.interp(t, grid, table.im).tobytes()
-    table = analysis._cf_table(0.3)
-    assert not any(array.flags.writeable for array in (table.t_grid, table.re, table.im))
+    spline = interpolate.CubicSpline(sparse, reference)
+    low = np.linspace(0.0, table.boundary, 4097)
+    for t, value in ((low, table.phi(low)), (table.t_tail, table.phi_tail)):
+        assert np.max(np.abs(value.real - spline(t).real)) <= 1e-11
+        assert np.max(np.abs(value.imag - spline(t).imag)) <= 1e-11
+    assert not any(array.flags.writeable
+                   for array in (table.phi.x, table.phi.c, table.t_tail, table.phi_tail))
 
 
 def piecewise_tail_survival(inv, y):
@@ -768,8 +785,8 @@ def piecewise_tail_survival(inv, y):
     integrand = (phi_b.imag * np.cos(y * t) - phi_b.real * np.sin(y * t)) / t
     low = 0.5 * a * float(np.sum(weights * integrand))
 
-    t = table.t_grid[table.t_grid >= a]
-    f = table.phi(t) ** inv.b / t
+    t = table.t_tail
+    f = table.phi_tail ** inv.b / t
     t, y_ld = t.astype(np.longdouble), np.longdouble(y)
     im, re = f.imag.astype(np.longdouble), f.real.astype(np.longdouble)
     mid, half = y_ld * (t[1:] + t[:-1]) / 2, np.sin(y_ld * np.diff(t) / 2)
@@ -788,25 +805,26 @@ def piecewise_tail_survival(inv, y):
 ])
 def test_inversion_tail_is_the_exact_integral_of_the_interpolants(rho, b, y):
     # the tail is the exact integral of the linear interpolants of
-    # Im(phi^B)/t and Re(phi^B)/t between the table's nodes, also at 0.01 of
+    # Im(phi^B)/t and Re(phi^B)/t between the tail's nodes, also at 0.01 of
     # the mean sum, where its by-parts terms cancel the most
     inv = analysis._inversion(rho, b)
     assert abs(inv.survival(y) - piecewise_tail_survival(inv, y)) <= 1e-11
 
 
 def test_building_an_inversion_holds_no_list_copies():
-    # A fresh inversion holds five float64 arrays of n nodes: the table's
-    # t_grid, re and im, and the inversion's im/t and re/t. Building it also
-    # needs phi(t_grid): two interpolated parts, the complex 1j*im and the
-    # complex sum, six arrays' worth on top of the table's three, so nine in
-    # all at the peak. A list copy of one array (about four arrays' worth of
-    # float objects and pointers) exceeds either bound.
+    # A fresh inversion holds five float64 arrays' worth of the n tail nodes:
+    # the table's t_tail and complex phi_tail, and the inversion's complex
+    # slope jumps; the spline of the 1,319 sparse nodes adds about a quarter
+    # of one. Building it peaks at about eight and a half: phi^B/t and its
+    # slopes, two each, and the steps of t_tail, on top of what the table
+    # holds. A list copy of one array (about four arrays' worth of float
+    # objects and pointers) exceeds either bound.
     tracemalloc.start()
     try:
         inv = analysis._MinSumInversion(2.9, 3)  # a rho no other test builds
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    array_bytes = inv.table.t_grid.nbytes
+    array_bytes = inv.table.t_tail.nbytes
     assert held < 6 * array_bytes
     assert peak < 10 * array_bytes

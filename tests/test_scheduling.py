@@ -13,7 +13,6 @@ from cachecast.errors import ParameterError, UnboundedDelayError
 from cachecast.scheduling import (
     CacheState,
     SubfileId,
-    acc_stage_completion_closed_form,
     acc_stage_timeline,
     enumerate_stages,
     full_session_delay,
@@ -263,13 +262,19 @@ def test_zero_rate_user_raises():
         acc_stage_timeline((0, 1), snr, 1.0)
 
 
-@pytest.mark.parametrize("stage_delay", [acc_stage_timeline,
-                                         acc_stage_completion_closed_form])
-@pytest.mark.parametrize("snr", [[[math.nan, 1.0]], [[math.inf, 1.0]], [[-0.5, 1.0]],
-                                 [1.0, 2.0]], ids=["nan", "inf", "negative", "1-D"])
-def test_a_stage_checks_a_raw_snr_array_as_a_matrix(stage_delay, snr):
+def snr_matrix(stage, snr, subfile_size):
+    """The SnrMatrix check alone, called as a stage function is."""
+    return SnrMatrix(snr=snr)
+
+
+@pytest.mark.parametrize("call", [acc_stage_timeline, snr_matrix])
+@pytest.mark.parametrize("snr", [
+    np.array([[math.nan, 1.0]]), np.array([[math.inf, 1.0]]), np.array([[-0.5, 1.0]]),
+    np.array([1.0, 2.0]), [[1.0], [1.0, 2.0]], [["a"]], [[1 + 2j]], np.array([[1 + 2j]]),
+], ids=["nan", "inf", "negative", "1-D", "ragged", "text", "complex", "complex-array"])
+def test_a_stage_checks_a_raw_snr_array_as_a_matrix(call, snr):
     with pytest.raises(ParameterError):
-        stage_delay((0,), np.array(snr), 1.0)
+        call((0,), snr, 1.0)
 
 
 def test_round_robin_order_and_monotone_times():
@@ -293,7 +298,7 @@ def test_event_simulation_matches_serial_sum_completion(gain, users, seed):
     snr = SnrMatrix(snr=rng.exponential(1.0, size=(gain, users)) + 1e-12)
     stage = tuple(range(gain))
     timeline = acc_stage_timeline(stage, snr, 0.5)
-    closed = acc_stage_completion_closed_form(stage, snr, 0.5)
+    closed = max(sum(0.5 / math.log2(1.0 + s) for s in row) for row in snr.snr.tolist())
     assert timeline.completion_time == pytest.approx(closed, rel=1e-9)
     assert len(timeline.events) == gain * users
 
@@ -445,7 +450,7 @@ def test_session_is_the_stage_ordered_sum_of_its_stage_delays(states, gain, b, d
     acc = [sample_snr(config, SeedSpec(seed, i)) for i in range(len(stages))]
     mn = [sample_snr(config, SeedSpec(seed + 100, i)) for i in range(b * len(stages))]
     demands = list(range(config.num_users))
-    expected = sum(acc_stage_completion_closed_form(stage, snr, size)
+    expected = sum(max(row[-1] for row in textbook_finish_times(stage, snr.snr, size))
                    for stage, snr in zip(stages, acc))
     assert full_session_delay(config, demands, acc, Scheme.ACC).hex() == expected.hex()
     expected = 0.0
@@ -480,6 +485,15 @@ def test_session_rejects_a_non_finite_or_negative_snr(scheme, value):
         with pytest.raises(ParameterError):
             full_session_delay(SESSION_CONFIG, range(6), session_arrays(scheme, where, value),
                                scheme)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ACC, Scheme.MN])
+@pytest.mark.parametrize("entry", [1 + 2j, "a"], ids=["complex", "text"])
+def test_session_rejects_realizations_that_are_not_real_numbers(scheme, entry):
+    mats = session_arrays(scheme)
+    mats[-1] = np.full((3, 2), entry)
+    with pytest.raises(ParameterError):
+        full_session_delay(SESSION_CONFIG, range(6), mats, scheme)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ACC, Scheme.MN])
@@ -583,7 +597,6 @@ def test_stage_delays_are_the_textbook_rebuilds_byte_for_byte(states, gain, b, d
             (t.hex(), g, j) for t, g, j in expected]
         closed = max(row[-1] for row in textbook_finish_times(stage, snr.snr, size))
         assert timeline.completion_time.hex() == expected[-1][0].hex()
-        assert acc_stage_completion_closed_form(stage, snr, size).hex() == closed.hex()
         completions.append(closed)
     demands = list(range(config.num_users))
     assert full_session_delay(config, demands, acc, Scheme.ACC).hex() == sum(completions).hex()
